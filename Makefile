@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-pipeline bench-recompute chaos obs-smoke quality-smoke serve-smoke bench-serve fabric-smoke bench-fabric obs-fleet-smoke vitals-smoke bench-codec fuzz-smoke bench-guard verify
+.PHONY: all build test race bench-pipeline bench-recompute chaos obs-smoke quality-smoke serve-smoke bench-serve fabric-smoke bench-fabric obs-fleet-smoke vitals-smoke bench-codec fuzz-smoke bench-guard loc verify
 
 all: build
 
@@ -33,12 +33,12 @@ bench-recompute:
 
 # chaos runs the fault-injection suite under the race detector: the
 # seeded faults harness itself, crash/kill recovery of the archive
-# journal, flaky-accept and silent-peer handling, and supervised live
+# journal, flaky-accept and silent-peer handling, and supervised stream
 # reconnection.
 chaos:
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/resilience/
 	$(GO) test -race -count=1 -run 'Fault|Chaos|Kill|Truncat|Flaky|Accept|Idle|Degraded|Reconnect' \
-		./internal/archive/ ./internal/daemon/ ./internal/bmp/ ./internal/live/
+		./internal/archive/ ./internal/daemon/ ./internal/bmp/ ./internal/stream/
 
 # obs-smoke boots a real gill-daemon with -admin on an ephemeral loopback
 # port, curls every operator endpoint (/metrics incl. histogram buckets,
@@ -140,11 +140,14 @@ bench-codec:
 
 # fuzz-smoke runs each native fuzz target briefly against its checked-in
 # seeds plus a short randomized burst: the BGP wire decoder (eager and
-# lazy paths must agree, re-encoding must be a byte-stable fixed point)
-# and the MRT record parser. Longer campaigns: raise -fuzztime.
+# lazy paths must agree, re-encoding must be a byte-stable fixed point),
+# the MRT record parser, and the /stream filter grammar (every accepted
+# filter's String() must parse back to the same filter). Longer
+# campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime 5s ./internal/bgp/
 	$(GO) test -run xxx -fuzz FuzzReadRecord -fuzztime 5s ./internal/mrt/
+	$(GO) test -run xxx -fuzz FuzzParseFilter -fuzztime 5s ./internal/stream/
 
 # bench-guard is the perf-trajectory gate: regenerate BENCH_fabric.json,
 # BENCH_serve.json and BENCH_codec.json on this machine and fail if any
@@ -154,6 +157,15 @@ fuzz-smoke:
 # The working tree is left clean either way.
 bench-guard:
 	sh scripts/bench_guard.sh
+
+# loc prints the three line counts CHANGES.md reports a PR's LoC delta
+# in: tracked non-test Go and test Go outside bench/ (the benchmark is
+# frozen between PRs), and scripts/*.sh.
+loc:
+	@printf 'non-test Go: %d\ntest Go: %d\nscripts sh: %d\n' \
+		$$(git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l) \
+		$$(git ls-files '*_test.go' | grep -v '^bench/' | xargs cat | wc -l) \
+		$$(git ls-files 'scripts/*.sh' | xargs cat | wc -l)
 
 # verify is the full pre-merge gate: vet, build, race-enabled tests, the
 # fault-injection suite, smoke runs of the pipeline and recompute

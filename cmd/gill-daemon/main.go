@@ -14,8 +14,7 @@
 // (/metrics, /statusz, /healthz, /readyz, /tracez, /debug/pprof/) and,
 // when a WAL is configured, the query API under /api/ and the filtered
 // NDJSON live stream on /stream — bind it to loopback or an operator
-// network, it is unauthenticated. A -live address additionally serves
-// the legacy JSON-over-TCP live feed.
+// network, it is unauthenticated.
 package main
 
 import (
@@ -39,13 +38,11 @@ import (
 	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/index"
-	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/mrt"
 	"repro/internal/quality"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
-	"repro/internal/update"
 	"repro/internal/vitals"
 )
 
@@ -64,7 +61,6 @@ func main() {
 		batch        = flag.Int("batch", 0, "ingest pipeline batch size (0: default)")
 		walDir       = flag.String("wal", "", "crash-safe record journal directory (recovered on startup)")
 		walRot       = flag.Int("wal-rotate", 0, "records per journal segment before rotation (0: default)")
-		liveAddr     = flag.String("live", "", "legacy JSON-over-TCP live feed address (empty: disabled)")
 		filtTTL      = flag.Duration("filter-ttl", 0, "degrade to retain-everything when filters go stale (0: never)")
 		chaos        = flag.String("chaos", "", "fault-injection spec, e.g. seed=7,reset=0.01,drop-accept=50 (testing only)")
 		coordTo      = flag.String("coordinator", "", "fabric coordinator address; joins the fleet, receives VP assignments and filter pushes")
@@ -247,37 +243,13 @@ func main() {
 		cfgD.RecordSink = wal.Append
 	}
 
-	// The live tee: retained updates fan out to the legacy TCP feed and
-	// the admin plane's NDJSON stream hub. Both are non-blocking by
-	// contract, so the tee is safe on the collection path.
-	var liveSrv *live.Server
-	var liveLn net.Listener
-	if *liveAddr != "" {
-		liveSrv = live.NewServer()
-		liveSrv.Log = logg
-		liveSrv.Instrument(reg)
-		liveLn, err = net.Listen("tcp", *liveAddr)
-		if err != nil {
-			fatal("live listen", "addr", *liveAddr, "err", err)
-		}
-	}
+	// The live feed: retained updates go to the admin plane's NDJSON
+	// stream hub. Publish never blocks, so it is safe on the collection
+	// path.
 	var hub *stream.Hub
 	if *admin != "" {
 		hub = stream.NewHub(stream.Config{Registry: reg, Log: logg})
-	}
-	var pubs []func(*update.Update)
-	if liveSrv != nil {
-		pubs = append(pubs, liveSrv.Publish)
-	}
-	if hub != nil {
-		pubs = append(pubs, hub.Publish)
-	}
-	if len(pubs) > 0 {
-		cfgD.Publish = func(u *update.Update) {
-			for _, p := range pubs {
-				p(u)
-			}
-		}
+		cfgD.Publish = hub.Publish
 	}
 	d := daemon.New(cfgD)
 
@@ -360,21 +332,9 @@ func main() {
 		logm.Info("fabric agent joining fleet", "coordinator", *coordTo, "id", *fabricID)
 	}
 
-	if liveSrv != nil {
-		go func() {
-			if err := liveSrv.Serve(ctx, liveLn); err != nil {
-				logm.Warn("live feed exited", "err", err)
-			}
-		}()
-		logm.Info("live feed listening", "live_addr", liveLn.Addr())
-	}
-
 	if adminLn != nil {
 		filtersConfigured := *filters != ""
-		routes := map[string]http.Handler{}
-		if hub != nil {
-			routes["/stream"] = hub.StreamHandler()
-		}
+		routes := map[string]http.Handler{"/stream": hub.StreamHandler()}
 		if ix != nil {
 			routes["/api/"] = http.StripPrefix("/api", ix.Handler())
 		}
@@ -397,27 +357,19 @@ func main() {
 			},
 			Status: func() any {
 				// The daemon payload inlined (obs tooling greps its keys)
-				// plus a serving section when any serving plane is up.
-				p := statusPayload{Status: d.StatusSnapshot()}
-				if liveSrv != nil || hub != nil || ix != nil {
-					s := &servingStatus{}
-					if liveSrv != nil {
-						s.LiveClients = liveSrv.Clients()
-						s.LiveDroppedSlow = liveSrv.DroppedSlow()
-					}
-					if hub != nil {
-						s.StreamSubscribers = hub.Subscribers()
-						s.StreamPublished = hub.Published()
-						s.StreamEvictedSlow = hub.EvictedSlow()
-					}
-					if ix != nil {
-						st := ix.Index.Stats()
-						s.IndexSegments = st.Segments
-						s.IndexRecords = st.Records
-					}
-					p.Serving = s
+				// plus the serving section: the hub exists whenever the
+				// admin plane does, the index only with a WAL.
+				s := &servingStatus{
+					StreamSubscribers: hub.Subscribers(),
+					StreamPublished:   hub.Published(),
+					StreamEvictedSlow: hub.EvictedSlow(),
 				}
-				return p
+				if ix != nil {
+					st := ix.Index.Stats()
+					s.IndexSegments = st.Segments
+					s.IndexRecords = st.Records
+				}
+				return statusPayload{Status: d.StatusSnapshot(), Serving: s}
 			},
 			Quality: func() any { return qp.Status() },
 		}
@@ -492,9 +444,6 @@ func main() {
 	if cerr := d.Close(); cerr != nil {
 		logm.Error("pipeline close failed", "err", cerr)
 	}
-	if liveSrv != nil {
-		liveSrv.Close()
-	}
 	if hub != nil {
 		hub.Close()
 	}
@@ -531,8 +480,6 @@ func main() {
 // servingStatus is the /statusz "serving" section: the read side's
 // health at a glance.
 type servingStatus struct {
-	LiveClients       int    `json:"live_clients"`
-	LiveDroppedSlow   uint64 `json:"live_dropped_slow"`
 	StreamSubscribers int    `json:"stream_subscribers"`
 	StreamPublished   uint64 `json:"stream_published"`
 	StreamEvictedSlow uint64 `json:"stream_evicted_slow"`

@@ -1,14 +1,16 @@
-// Command gill-tail follows a GILL live feed (the RIS-Live-style stream a
-// daemon publishes) and prints updates as they arrive. When the feed
-// drops — a collector restart, a network blip — it reconnects with
-// jittered exponential backoff and resubscribes, deduplicating any
-// replayed messages, instead of exiting (disable with -retry=false).
+// Command gill-tail follows a GILL live feed (the RIS-Live-style NDJSON
+// stream a daemon serves on its admin plane's /stream) and prints updates
+// as they arrive. When the feed drops — a collector restart, a network
+// blip, an eviction for falling behind — it reconnects with jittered
+// exponential backoff and resubscribes, delivering each update at most
+// once, instead of exiting (disable with -retry=false).
 //
-// Usage:
+// Usage (-addr is the daemon's -admin address; -prefix and -vp become
+// the prefix= and vp= terms of the /stream filter):
 //
-//	gill-tail -addr collector.example:1791
-//	gill-tail -addr :1791 -prefix 203.0.113.0/24
-//	gill-tail -addr :1791 -vp vp65001 -json
+//	gill-tail -addr collector.example:8471
+//	gill-tail -addr 127.0.0.1:8471 -prefix 203.0.113.0/24
+//	gill-tail -addr 127.0.0.1:8471 -vp vp65001 -json
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -23,14 +26,15 @@ import (
 
 	"repro/internal/live"
 	"repro/internal/resilience"
+	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
 func main() {
 	var (
-		addr     = flag.String("addr", "127.0.0.1:1791", "live feed address")
-		prefix   = flag.String("prefix", "", "subscribe to one prefix")
-		vp       = flag.String("vp", "", "subscribe to one vantage point")
+		addr     = flag.String("addr", "127.0.0.1:8471", "daemon admin-plane address (its /stream is the feed)")
+		prefix   = flag.String("prefix", "", "subscribe to one prefix (the stream filter's prefix= term)")
+		vp       = flag.String("vp", "", "subscribe to one vantage point (the stream filter's vp= term)")
 		asJSON   = flag.Bool("json", false, "print raw JSON messages")
 		retry    = flag.Bool("retry", true, "reconnect with backoff when the feed drops")
 		maxTry   = flag.Int("retry-max", 0, "give up after this many consecutive failed reconnects (0: never)")
@@ -49,7 +53,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	sub := live.Subscription{Prefix: *prefix, VP: *vp}
+	sub := url.Values{}
+	if *prefix != "" {
+		sub.Set("prefix", *prefix)
+	}
+	if *vp != "" {
+		sub.Set("vp", *vp)
+	}
 	enc := json.NewEncoder(os.Stdout)
 	print := func(m *live.Message) error {
 		if *asJSON {
@@ -70,15 +80,11 @@ func main() {
 	}
 
 	if !*retry {
-		c, err := live.Dial(ctx, *addr, sub)
+		c, err := stream.Dial(ctx, nil, *addr, sub)
 		if err != nil {
 			fatal("dial failed", "addr", *addr, "err", err)
 		}
 		defer c.Close()
-		go func() {
-			<-ctx.Done()
-			c.Close()
-		}()
 		for {
 			m, err := c.Next()
 			if err != nil {
@@ -91,7 +97,7 @@ func main() {
 		}
 	}
 
-	err := live.Tail(ctx, *addr, sub, live.TailConfig{
+	err := stream.Tail(ctx, *addr, sub, stream.TailConfig{
 		Backoff:     resilience.Backoff{Base: time.Second, Max: 30 * time.Second},
 		MaxRestarts: *maxTry,
 		OnRetry: func(restart int, err error) {

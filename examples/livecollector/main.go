@@ -15,16 +15,18 @@ import (
 	"io"
 	"log"
 	"net"
+	"net/http"
 	"net/netip"
+	"net/url"
 	"time"
 
 	gill "repro"
 	"repro/internal/bgp"
 	"repro/internal/filter"
-	"repro/internal/live"
 	"repro/internal/mrt"
 	"repro/internal/orchestrator"
 	"repro/internal/pipeline"
+	"repro/internal/stream"
 	"repro/internal/update"
 	"repro/internal/workload"
 )
@@ -63,14 +65,18 @@ func main() {
 	defer cancel()
 
 	// 3. The live feed: retained updates stream to subscribers in near
-	// real time through the pipeline's live stage.
-	feed := gill.NewLiveServer()
+	// real time through the pipeline's live stage and the stream hub,
+	// served as NDJSON over HTTP the way gill-daemon's /stream is.
+	feed := gill.NewStreamHub(gill.StreamConfig{})
 	feedLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	go func() { _ = feed.Serve(ctx, feedLn) }()
-	sub, err := live.Dial(ctx, feedLn.Addr().String(), live.Subscription{VP: "vp65001"})
+	go func() { _ = http.Serve(feedLn, feed.StreamHandler()) }()
+	// queue=1024: the router below sends its 1000 updates in one burst,
+	// and the default 64-event queue would get this subscriber evicted.
+	sub, err := stream.Dial(ctx, nil, feedLn.Addr().String(),
+		url.Values{"vp": {"vp65001"}, "queue": {"1024"}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,6 @@ import (
 	"repro/internal/daemon"
 	"repro/internal/filter"
 	"repro/internal/index"
-	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/orchestrator"
 	"repro/internal/pipeline"
@@ -201,13 +200,6 @@ type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// LiveServer streams retained updates to subscribers (RIS-Live style, §9).
-// Wire it to a Daemon via DaemonConfig.Publish.
-type LiveServer = live.Server
-
-// NewLiveServer returns an idle live-feed server.
-func NewLiveServer() *LiveServer { return live.NewServer() }
 
 // ROARegistry validates route origins (RFC 6811); plug into a Daemon via
 // a validity.Checker (§14 fake-data defenses).

@@ -3,25 +3,27 @@ package gill_test
 // Whole-platform integration: the §8/§9 workflow end to end over real TCP.
 // An orchestrator vets peering requests; GILL trains on a simulated
 // mirrored stream and distributes filters; a daemon accepts BGP sessions,
-// validates routes, applies the filters, archives MRT, and tees retained
-// updates into a RIS-Live-style feed consumed by a client.
+// validates routes, applies the filters, archives MRT, and publishes
+// retained updates on the RIS-Live-style /stream feed consumed by a client.
 
 import (
 	"bytes"
 	"context"
 	"io"
 	"net"
+	"net/http/httptest"
 	"net/netip"
+	"net/url"
 	"testing"
 	"time"
 
 	gill "repro"
 	"repro/internal/bgp"
 	"repro/internal/daemon"
-	"repro/internal/live"
 	"repro/internal/mrt"
 	"repro/internal/orchestrator"
 	"repro/internal/simulate"
+	"repro/internal/stream"
 	"repro/internal/topology"
 	"repro/internal/update"
 	"repro/internal/validity"
@@ -70,18 +72,18 @@ func TestPlatformIntegration(t *testing.T) {
 		baseline[simulate.VPName(vp)] = coll.RIB(vp)
 	}
 	t0 := time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
-	var stream []*gill.Update
+	var mirrored []*gill.Update
 	link := topo.Links[2]
 	for i := 0; i < 5; i++ {
 		at := t0.Add(time.Duration(i) * time.Hour)
-		stream = append(stream, coll.Apply(gill.Event{At: at, Kind: simulate.LinkFail, A: link.A, B: link.B})...)
-		stream = append(stream, coll.Apply(gill.Event{At: at.Add(20 * time.Minute), Kind: simulate.LinkRestore, A: link.A, B: link.B})...)
+		mirrored = append(mirrored, coll.Apply(gill.Event{At: at, Kind: simulate.LinkFail, A: link.A, B: link.B})...)
+		mirrored = append(mirrored, coll.Apply(gill.Event{At: at.Add(20 * time.Minute), Kind: simulate.LinkRestore, A: link.A, B: link.B})...)
 	}
-	gill.Annotate(stream)
+	gill.Annotate(mirrored)
 	cfg := gill.DefaultConfig()
 	cfg.EventsPerCell = 3
 	model := gill.Train(gill.TrainingData{
-		Updates: stream, Baseline: baseline,
+		Updates: mirrored, Baseline: baseline,
 		Categories: topology.Categorize(topo), TotalVPs: len(vps),
 	}, cfg, 9)
 	orch.LoadFilters(model.Filters, 1)
@@ -89,14 +91,11 @@ func TestPlatformIntegration(t *testing.T) {
 		t.Error("component #1 still due after LoadFilters")
 	}
 
-	// --- 3. Live feed server.
-	feed := live.NewServer()
-	feedLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	go func() { _ = feed.Serve(ctx, feedLn) }()
+	// --- 3. Live feed: the stream hub behind its HTTP handler.
+	feed := stream.NewHub(stream.Config{})
 	defer feed.Close()
+	feedSrv := httptest.NewServer(feed.StreamHandler())
+	defer feedSrv.Close()
 
 	// --- 4. Daemon with filters, validity checks, and the live tee.
 	roas := validity.NewRegistry()
@@ -116,15 +115,13 @@ func TestPlatformIntegration(t *testing.T) {
 	}
 	go func() { _ = d.Serve(ctx, dLn) }()
 
-	// --- 5. A live client subscribes before data flows.
-	client, err := live.Dial(ctx, feedLn.Addr().String(), live.Subscription{VP: "vp65001"})
+	// --- 5. A live client subscribes before data flows: Dial returns on
+	// the stream's hello line, which the hub writes after subscribing.
+	client, err := stream.Dial(ctx, nil, feedSrv.Listener.Addr().String(), url.Values{"vp": {"vp65001"}})
 	if err != nil {
-		t.Fatalf("live.Dial: %v", err)
+		t.Fatalf("stream.Dial: %v", err)
 	}
 	defer client.Close()
-	for feed.Clients() < 1 {
-		time.Sleep(5 * time.Millisecond)
-	}
 
 	// --- 6. The approved peers connect and announce.
 	sess1, err := bgp.Dial(ctx, dLn.Addr().String(), bgp.SpeakerConfig{

@@ -247,12 +247,15 @@ func (u *Update) marshalBody(dst []byte) ([]byte, error) {
 		}
 	}
 	if len(u.V6NLRI) > 0 {
-		if !u.V6NextHop.Is6() || u.V6NextHop.Is4In6() {
+		// Any 16-byte address encodes, IPv4-mapped ones included: the
+		// decoder accepts them (6PE next hops look like that), and a
+		// decoded update must always re-marshal.
+		if !u.V6NextHop.Is6() {
 			return nil, fmt.Errorf("%w: v6 NLRI requires IPv6 next hop", ErrBadAttribute)
 		}
 		nhLen := 16
 		if u.V6LinkLocal.IsValid() {
-			if !u.V6LinkLocal.Is6() || u.V6LinkLocal.Is4In6() {
+			if !u.V6LinkLocal.Is6() {
 				return nil, fmt.Errorf("%w: link-local next hop must be IPv6", ErrBadAttribute)
 			}
 			nhLen = 32

@@ -1,22 +1,15 @@
-// Package live implements a RIS-Live-style streaming service (§9: GILL
-// consumes RIS Live and publishes its own data in near real time): a TCP
-// server broadcasting retained BGP updates as JSON lines, with optional
-// per-client prefix/VP subscriptions, and a matching client.
+// Package live is the wire schema of the read side (§9: GILL publishes
+// retained updates in near real time, RIS-Live style): the one JSON
+// object the /stream hub, the /api query endpoints and their clients
+// all exchange. The feed itself lives in internal/stream.
 package live
 
 import (
-	"bufio"
-	"context"
-	"encoding/json"
 	"fmt"
-	"net"
 	"net/netip"
 	"strconv"
-	"sync"
 	"time"
 
-	"repro/internal/metrics"
-	"repro/internal/resilience"
 	"repro/internal/telemetry"
 	"repro/internal/update"
 )
@@ -30,33 +23,15 @@ type Message struct {
 	Path        []uint32 `json:"path,omitempty"`
 	Communities []uint32 `json:"communities,omitempty"`
 	Withdraw    bool     `json:"withdraw,omitempty"`
-	// Seq is the server's publish sequence number (1-based, 0 when the
-	// server predates it). Reconnecting consumers use it to discard
-	// messages they already processed, so a session flap never delivers an
-	// update twice downstream.
+	// Seq is the stream hub's publish sequence number (1-based; 0 on
+	// query responses, which are not published). A sequence belongs to
+	// one hub: stream.Tail uses it to deliver each update at most once,
+	// and to recognise a restarted collector by its sequence starting over.
 	Seq uint64 `json:"seq,omitempty"`
 	// TraceID is the distributed trace ID (16 hex digits) of a sampled
 	// update, empty for the unsampled majority. Consumers can join it
 	// against /fleet/tracez to see the update's full pipeline journey.
 	TraceID string `json:"trace_id,omitempty"`
-}
-
-// Subscription filters a client's stream; zero values match everything.
-type Subscription struct {
-	// Prefix restricts to one prefix (exact match).
-	Prefix string `json:"prefix,omitempty"`
-	// VP restricts to one vantage point.
-	VP string `json:"vp,omitempty"`
-}
-
-func (s Subscription) matches(m *Message) bool {
-	if s.Prefix != "" && s.Prefix != m.Prefix {
-		return false
-	}
-	if s.VP != "" && s.VP != m.VP {
-		return false
-	}
-	return true
 }
 
 // ToMessage converts a canonical update.
@@ -104,227 +79,3 @@ func (m *Message) ToUpdate() (*update.Update, error) {
 	}
 	return u, nil
 }
-
-// DefaultSendBuffer is the per-client send buffer (messages) a Server
-// uses unless configured otherwise.
-const DefaultSendBuffer = 256
-
-// Server broadcasts updates to subscribed clients. Slow clients are
-// disconnected rather than allowed to stall the feed.
-type Server struct {
-	// Log receives client lifecycle events (connect, disconnect, slow-
-	// client eviction); nil discards them. Set before Serve.
-	Log *telemetry.Logger
-
-	mu      sync.Mutex
-	clients map[*client]bool
-	closed  bool
-	ln      net.Listener
-	sendBuf int
-	seq     uint64 // publish sequence, stamped on every Message
-
-	// droppedSlow counts slow-client evictions. It always points at a
-	// counter (private until Instrument wires it to a registry) so
-	// Publish never branches on instrumentation.
-	droppedSlow *metrics.Counter
-}
-
-type client struct {
-	conn net.Conn
-	sub  Subscription
-	out  chan *Message
-}
-
-// NewServer returns an idle server; call Serve to accept clients.
-func NewServer() *Server {
-	return NewServerBuffer(DefaultSendBuffer)
-}
-
-// NewServerBuffer returns an idle server whose clients each get a send
-// buffer of n messages (n <= 0 selects DefaultSendBuffer). Smaller
-// buffers evict slow clients sooner; larger ones ride out burstier
-// consumers at the cost of memory per client.
-func NewServerBuffer(n int) *Server {
-	if n <= 0 {
-		n = DefaultSendBuffer
-	}
-	return &Server{
-		clients:     make(map[*client]bool),
-		sendBuf:     n,
-		droppedSlow: &metrics.Counter{},
-	}
-}
-
-// Instrument exports the server's counters through reg: slow-client
-// evictions as live.dropped_slow_clients (an eviction used to be visible
-// only as a log line) and the client count as the live.clients gauge.
-// Call before Serve.
-func (s *Server) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	s.mu.Lock()
-	s.droppedSlow = reg.Counter("live.dropped_slow_clients")
-	s.mu.Unlock()
-	reg.GaugeFunc("live.clients", func() int64 { return int64(s.Clients()) })
-}
-
-// DroppedSlow returns how many clients the server has evicted for not
-// keeping up with the feed.
-func (s *Server) DroppedSlow() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.droppedSlow.Load()
-}
-
-// Serve accepts clients on ln until ctx is canceled, retrying transient
-// Accept errors with backoff; a closed listener or canceled context is a
-// clean shutdown (nil).
-func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	return resilience.AcceptLoop(ctx, ln, resilience.Backoff{}, 0, func(conn net.Conn) {
-		go s.handle(conn)
-	})
-}
-
-// handle reads the optional subscription line then streams.
-func (s *Server) handle(conn net.Conn) {
-	c := &client{conn: conn, out: make(chan *Message, s.sendBuf)}
-	// The first line, if it arrives within a short grace period, is a
-	// subscription; otherwise the client gets the firehose.
-	_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-	br := bufio.NewReader(conn)
-	if line, err := br.ReadBytes('\n'); err == nil {
-		_ = json.Unmarshal(line, &c.sub)
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.clients[c] = true
-	s.mu.Unlock()
-	s.Log.With("live").Info("client connected", "peer", conn.RemoteAddr(),
-		"sub_prefix", c.sub.Prefix, "sub_vp", c.sub.VP)
-
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
-	for m := range c.out {
-		if err := enc.Encode(m); err != nil {
-			break
-		}
-		if len(c.out) == 0 {
-			if err := w.Flush(); err != nil {
-				break
-			}
-		}
-	}
-	s.drop(c)
-	s.Log.With("live").Info("client disconnected", "peer", conn.RemoteAddr())
-}
-
-func (s *Server) drop(c *client) {
-	s.mu.Lock()
-	if s.clients[c] {
-		delete(s.clients, c)
-		close(c.out)
-	}
-	s.mu.Unlock()
-	c.conn.Close()
-}
-
-// Publish broadcasts one update to all matching clients. Clients whose
-// buffers are full are disconnected. Every message carries the server's
-// publish sequence number so reconnecting consumers can deduplicate.
-func (s *Server) Publish(u *update.Update) {
-	m := ToMessage(u)
-	s.mu.Lock()
-	s.seq++
-	m.Seq = s.seq
-	var evict []*client
-	for c := range s.clients {
-		if !c.sub.matches(m) {
-			continue
-		}
-		select {
-		case c.out <- m:
-		default:
-			evict = append(evict, c)
-		}
-	}
-	for _, c := range evict {
-		delete(s.clients, c)
-		close(c.out)
-		c.conn.Close()
-		s.droppedSlow.Inc()
-	}
-	s.mu.Unlock()
-	for _, c := range evict {
-		s.Log.With("live").Warn("slow client evicted", "peer", c.conn.RemoteAddr())
-	}
-}
-
-// Clients returns the number of connected clients.
-func (s *Server) Clients() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.clients)
-}
-
-// Close disconnects every client.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	for c := range s.clients {
-		delete(s.clients, c)
-		close(c.out)
-		c.conn.Close()
-	}
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-}
-
-// Client consumes a live feed.
-type Client struct {
-	conn net.Conn
-	dec  *json.Decoder
-}
-
-// Dial connects and sends the subscription.
-func Dial(ctx context.Context, addr string, sub Subscription) (*Client, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	line, err := json.Marshal(sub)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, err := conn.Write(append(line, '\n')); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return &Client{conn: conn, dec: json.NewDecoder(conn)}, nil
-}
-
-// Next blocks for the next message.
-func (c *Client) Next() (*Message, error) {
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
-// Close terminates the client.
-func (c *Client) Close() error { return c.conn.Close() }

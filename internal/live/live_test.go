@@ -1,13 +1,10 @@
 package live
 
 import (
-	"context"
-	"net"
 	"net/netip"
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/update"
 )
 
@@ -46,256 +43,5 @@ func TestMessageRoundTrip(t *testing.T) {
 	// Bad prefix rejected.
 	if _, err := (&Message{Prefix: "junk"}).ToUpdate(); err == nil {
 		t.Error("junk prefix accepted")
-	}
-}
-
-// startServer spins a live server on loopback.
-func startServer(t *testing.T) (*Server, string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	s := NewServer()
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(func() { cancel(); s.Close() })
-	go func() { _ = s.Serve(ctx, ln) }()
-	return s, ln.Addr().String()
-}
-
-func waitClients(t *testing.T, s *Server, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Clients() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d clients connected, want %d", s.Clients(), n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestServerBroadcast(t *testing.T) {
-	s, addr := startServer(t)
-	ctx := context.Background()
-	c, err := Dial(ctx, addr, Subscription{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	waitClients(t, s, 1)
-
-	s.Publish(sampleUpdate("vp65001", "203.0.113.0/24"))
-	m, err := c.Next()
-	if err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	if m.VP != "vp65001" || m.Prefix != "203.0.113.0/24" || m.Type != "UPDATE" {
-		t.Errorf("message: %+v", m)
-	}
-}
-
-func TestServerSubscriptionFiltering(t *testing.T) {
-	s, addr := startServer(t)
-	ctx := context.Background()
-	cPfx, err := Dial(ctx, addr, Subscription{Prefix: "203.0.113.0/24"})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cPfx.Close()
-	cVP, err := Dial(ctx, addr, Subscription{VP: "vpB"})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer cVP.Close()
-	waitClients(t, s, 2)
-
-	s.Publish(sampleUpdate("vpA", "203.0.113.0/24"))  // matches cPfx only
-	s.Publish(sampleUpdate("vpB", "198.51.100.0/24")) // matches cVP only
-	s.Publish(sampleUpdate("vpB", "203.0.113.0/24"))  // matches both
-
-	m1, err := cPfx.Next()
-	if err != nil || m1.VP != "vpA" {
-		t.Fatalf("cPfx first: %+v err=%v", m1, err)
-	}
-	m2, err := cPfx.Next()
-	if err != nil || m2.VP != "vpB" || m2.Prefix != "203.0.113.0/24" {
-		t.Fatalf("cPfx second: %+v err=%v", m2, err)
-	}
-	v1, err := cVP.Next()
-	if err != nil || v1.Prefix != "198.51.100.0/24" {
-		t.Fatalf("cVP first: %+v err=%v", v1, err)
-	}
-	v2, err := cVP.Next()
-	if err != nil || v2.Prefix != "203.0.113.0/24" {
-		t.Fatalf("cVP second: %+v err=%v", v2, err)
-	}
-}
-
-func TestServerEvictsSlowClient(t *testing.T) {
-	s, addr := startServer(t)
-	// A raw connection that never reads.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer conn.Close()
-	conn.Write([]byte("{}\n"))
-	waitClients(t, s, 1)
-	// Flood far past the buffer.
-	for i := 0; i < 100000; i++ {
-		s.Publish(sampleUpdate("vpA", "203.0.113.0/24"))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Clients() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow client never evicted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestServerSlowClientDoesNotBlockBroadcast pins the live-feed contract
-// the ingest pipeline's LiveStage relies on: Publish never blocks, even
-// with a connected client that never reads. The server must evict the
-// stuck client (via its tiny send buffer) and keep serving healthy ones.
-func TestServerSlowClientDoesNotBlockBroadcast(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	s := NewServerBuffer(4) // tiny buffer: eviction after 4 unread messages
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(func() { cancel(); s.Close() })
-	go func() { _ = s.Serve(ctx, ln) }()
-	addr := ln.Addr().String()
-
-	// A raw connection that subscribes and then never reads.
-	stuck, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer stuck.Close()
-	stuck.Write([]byte("{}\n"))
-	waitClients(t, s, 1)
-
-	// Flood well past the buffer from a goroutine; if any Publish blocked
-	// on the stuck client, the flood would never finish.
-	const n = 2000
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < n; i++ {
-			s.Publish(sampleUpdate("vpA", "203.0.113.0/24"))
-		}
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("broadcast blocked on a never-reading client")
-	}
-
-	// The stuck client must have been evicted, not tolerated.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.Clients() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("slow client never evicted")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// The broadcast loop is still alive: a fresh client receives a new
-	// publish end to end.
-	c, err := Dial(context.Background(), addr, Subscription{})
-	if err != nil {
-		t.Fatalf("Dial after eviction: %v", err)
-	}
-	defer c.Close()
-	waitClients(t, s, 1)
-	s.Publish(sampleUpdate("vpB", "198.51.100.0/24"))
-	m, err := c.Next()
-	if err != nil || m.VP != "vpB" {
-		t.Fatalf("healthy client starved after eviction: %+v err=%v", m, err)
-	}
-}
-
-func TestNewServerBufferDefault(t *testing.T) {
-	if s := NewServerBuffer(0); s.sendBuf != DefaultSendBuffer {
-		t.Errorf("NewServerBuffer(0) buffer = %d, want %d", s.sendBuf, DefaultSendBuffer)
-	}
-	if s := NewServer(); s.sendBuf != DefaultSendBuffer {
-		t.Errorf("NewServer buffer = %d, want %d", s.sendBuf, DefaultSendBuffer)
-	}
-	if s := NewServerBuffer(7); s.sendBuf != 7 {
-		t.Errorf("NewServerBuffer(7) buffer = %d", s.sendBuf)
-	}
-}
-
-func TestServerCloseDisconnects(t *testing.T) {
-	s, addr := startServer(t)
-	c, err := Dial(context.Background(), addr, Subscription{})
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	waitClients(t, s, 1)
-	s.Close()
-	if _, err := c.Next(); err == nil {
-		t.Error("client survived server close")
-	}
-}
-
-func TestDialFailure(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	if _, err := Dial(ctx, "127.0.0.1:1", Subscription{}); err == nil {
-		t.Error("Dial to a closed port succeeded")
-	}
-}
-
-// TestDroppedSlowCounter pins satellite coverage for the serving plane:
-// slow-client evictions were previously visible only as log lines; now
-// they increment live.dropped_slow_clients on an instrumented registry
-// and the DroppedSlow accessor.
-func TestDroppedSlowCounter(t *testing.T) {
-	reg := metrics.NewRegistry()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	s := NewServerBuffer(4)
-	s.Instrument(reg)
-	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(func() { cancel(); s.Close() })
-	go func() { _ = s.Serve(ctx, ln) }()
-
-	// Two clients that never read; small buffers force eviction fast.
-	for i := 0; i < 2; i++ {
-		conn, err := net.Dial("tcp", ln.Addr().String())
-		if err != nil {
-			t.Fatalf("Dial: %v", err)
-		}
-		defer conn.Close()
-		conn.Write([]byte("{}\n"))
-	}
-	waitClients(t, s, 2)
-	if s.DroppedSlow() != 0 {
-		t.Fatalf("DroppedSlow before flood = %d", s.DroppedSlow())
-	}
-	for i := 0; i < 100000 && s.Clients() > 0; i++ {
-		s.Publish(sampleUpdate("vpA", "203.0.113.0/24"))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for s.DroppedSlow() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("DroppedSlow = %d, want 2", s.DroppedSlow())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := reg.Counter("live.dropped_slow_clients").Load(); got != 2 {
-		t.Fatalf("live.dropped_slow_clients = %d, want 2", got)
-	}
-	// The live.clients gauge tracks the (now empty) client set.
-	if got := reg.Snapshot().Gauges["live.clients"]; got != 0 {
-		t.Fatalf("live.clients gauge = %d, want 0", got)
 	}
 }

@@ -120,7 +120,7 @@ func (s *RedundancyStage) Process(batch []*update.Update) []*update.Update {
 }
 
 // LiveStage fans retained updates out to a live feed (§9), e.g. a
-// live.Server's Publish. The publish function must not block: slow
+// stream.Hub's Publish. The publish function must not block: slow
 // subscribers are the feed's problem (it evicts them), not the ingest
 // path's.
 type LiveStage struct {

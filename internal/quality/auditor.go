@@ -31,7 +31,8 @@ type Config struct {
 	// react within minutes.
 	Window time.Duration
 	// MaxBuffer caps the shadow buffer (default 65536 observations);
-	// overflow evicts oldest-first and counts quality.shadow.evicted.
+	// overflow evicts the oldest eighth and counts each evicted
+	// observation in quality.shadow.evicted.
 	MaxBuffer int
 	// Correlation configures the live RP analysis (zero: DefaultConfig).
 	Correlation correlation.Config
@@ -228,7 +229,11 @@ func (p *Plane) ObserveShadow(u *update.Update, keptByFilter bool) {
 	now := p.cfg.Clock()
 	p.mu.Lock()
 	p.buf = append(p.buf, shadowObs{u: u, kept: keptByFilter, at: now})
-	if n := len(p.buf) - p.cfg.MaxBuffer; n > 0 {
+	if len(p.buf) > p.cfg.MaxBuffer {
+		// Evict the oldest eighth in one copy. Shifting by one entry per
+		// observation would move the whole buffer on every call once it
+		// is full; a block makes the move amortised O(1).
+		n := max(1, p.cfg.MaxBuffer/8)
 		p.buf = append(p.buf[:0], p.buf[n:]...)
 		p.evicted.Add(uint64(n))
 	}

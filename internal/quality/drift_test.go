@@ -234,18 +234,40 @@ func TestPlaneWindowEviction(t *testing.T) {
 	}
 }
 
-// TestPlaneMaxBufferEviction: the buffer cap evicts oldest-first.
+// TestPlaneMaxBufferEviction: overflow evicts oldest-first, a block at a
+// time, and the counters account for every observation.
 func TestPlaneMaxBufferEviction(t *testing.T) {
-	pl := NewPlane(Config{Selector: Selector{Denom: 1}, MaxBuffer: 8})
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 20; i++ {
-		pl.ObserveShadow(mkUpdate("vp1", mkPrefix(i), []uint32{1}, base), true)
+	for _, maxBuf := range []int{8, 64} {
+		pl := NewPlane(Config{Selector: Selector{Denom: 1}, MaxBuffer: maxBuf})
+		var newest *update.Update
+		for i := 0; i < 3*maxBuf; i++ {
+			newest = mkUpdate("vp1", mkPrefix(i), []uint32{1}, base)
+			pl.ObserveShadow(newest, true)
+		}
+		if n := len(pl.buf); n > maxBuf || n <= maxBuf-max(1, maxBuf/8) {
+			t.Errorf("MaxBuffer %d: %d buffered, want within one block under the cap", maxBuf, n)
+		}
+		if pl.buf[len(pl.buf)-1].u != newest {
+			t.Errorf("MaxBuffer %d: the newest observation was evicted", maxBuf)
+		}
+		r := pl.Audit()
+		if r.ShadowObserved != uint64(r.Buffered)+r.ShadowEvicted {
+			t.Errorf("MaxBuffer %d: observed %d != buffered %d + evicted %d", maxBuf, r.ShadowObserved, r.Buffered, r.ShadowEvicted)
+		}
 	}
-	r := pl.Audit()
-	if r.Buffered != 8 {
-		t.Fatalf("buffered = %d, want cap 8", r.Buffered)
+}
+
+// BenchmarkObserveShadowFull measures one observation into a buffer that
+// is already at its (default) cap, the steady state of a busy daemon.
+func BenchmarkObserveShadowFull(b *testing.B) {
+	pl := NewPlane(Config{Selector: Selector{Denom: 1}})
+	u := mkUpdate("vp1", mkPrefix(1), []uint32{1}, time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	for i := 0; i < pl.cfg.MaxBuffer; i++ {
+		pl.ObserveShadow(u, true)
 	}
-	if r.ShadowEvicted != 12 {
-		t.Fatalf("evicted = %d, want 12", r.ShadowEvicted)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl.ObserveShadow(u, true)
 	}
 }

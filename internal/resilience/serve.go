@@ -10,13 +10,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// DefaultMaxAcceptFailures is AcceptLoop's consecutive-failure budget: a
-// listener whose Accept keeps failing (not ErrClosed — a torn fd, an
-// exhausted fd table) is eventually surfaced instead of retried forever.
+// DefaultMaxAcceptFailures is AcceptLoopOpts's consecutive-failure
+// budget: a listener whose Accept keeps failing (not ErrClosed — a torn
+// fd, an exhausted fd table) is eventually surfaced instead of retried
+// forever.
 const DefaultMaxAcceptFailures = 10
 
-// AcceptOptions parameterizes AcceptLoopOpts. The zero value selects the
-// same behavior as AcceptLoop with a zero Backoff.
+// AcceptOptions parameterizes AcceptLoopOpts; the zero value is usable.
 type AcceptOptions struct {
 	// Backoff paces retries of transient Accept errors.
 	Backoff Backoff
@@ -31,24 +31,16 @@ type AcceptOptions struct {
 	OnRetry func(failures int, err error, delay time.Duration)
 }
 
-// AcceptLoop runs a fault-tolerant accept loop on ln: transient Accept
-// errors are retried with backoff instead of killing the server, and the
-// listener is closed exactly once (here) when ctx ends — closing it again
-// elsewhere is harmless to this loop, which treats net.ErrClosed as the
-// clean-shutdown signal.
+// AcceptLoopOpts runs a fault-tolerant accept loop on ln: transient
+// Accept errors are retried with backoff instead of killing the server,
+// and the listener is closed exactly once (here) when ctx ends — closing
+// it again elsewhere is harmless to this loop, which treats net.ErrClosed
+// as the clean-shutdown signal.
 //
 // handle receives each accepted connection and must not block (spawn a
-// goroutine; track it if shutdown must wait for sessions). AcceptLoop
-// returns nil on clean shutdown (ctx done or listener closed), or the
-// last Accept error after maxFailures consecutive failures
-// (maxFailures ≤ 0 selects DefaultMaxAcceptFailures).
-func AcceptLoop(ctx context.Context, ln net.Listener, b Backoff, maxFailures int, handle func(net.Conn)) error {
-	return AcceptLoopOpts(ctx, ln, AcceptOptions{Backoff: b, MaxFailures: maxFailures}, handle)
-}
-
-// AcceptLoopOpts is AcceptLoop with observability hooks: a transient-retry
-// counter for the metrics registry and a per-retry callback for
-// structured logging.
+// goroutine; track it if shutdown must wait for sessions). It returns nil
+// on clean shutdown (ctx done or listener closed), or the last Accept
+// error after opts.MaxFailures consecutive failures.
 func AcceptLoopOpts(ctx context.Context, ln net.Listener, opts AcceptOptions, handle func(net.Conn)) error {
 	maxFailures := opts.MaxFailures
 	if maxFailures <= 0 {

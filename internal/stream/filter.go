@@ -1,11 +1,12 @@
-// Package stream is the mass live-streaming half of the serving plane: a
-// RIS-Live-style fan-out of the retained update feed to many concurrent
-// subscribers, each with its own filter expression and rate limit,
-// delivered as JSON lines over HTTP or consumed in-process. It builds on
-// internal/live's wire schema (live.Message, including the publish Seq)
-// and on the same slow-consumer doctrine: the collection path never
-// blocks on a reader — bounded per-subscriber queues, token-bucket rate
-// limits, and eviction when a subscriber cannot keep up.
+// Package stream is the live feed (§9) and the mass-streaming half of the
+// serving plane: a RIS-Live-style fan-out of the retained update feed to
+// many concurrent subscribers, each with its own filter expression and
+// rate limit, delivered as JSON lines over HTTP or consumed in-process,
+// plus the reconnecting client that follows it (Dial, Tail). Messages use
+// internal/live's wire schema (live.Message, including the publish Seq).
+// The collection path never blocks on a reader: bounded per-subscriber
+// queues, token-bucket rate limits, and eviction when a subscriber cannot
+// keep up.
 package stream
 
 // Filter expressions. The grammar is a conjunction of whitespace-
@@ -62,7 +63,7 @@ func ParseFilter(expr string) (*Filter, error) {
 	}
 	for _, t := range terms {
 		key, val, ok := strings.Cut(t, "=")
-		if !ok || val == "" {
+		if !ok {
 			return nil, fmt.Errorf("stream: bad filter term %q (want key=value)", t)
 		}
 		if err := f.addTerm(key, val); err != nil {
@@ -73,8 +74,14 @@ func ParseFilter(expr string) (*Filter, error) {
 }
 
 // addTerm applies one key=value term; used by both the expression parser
-// and the HTTP query-parameter form.
+// and the HTTP query-parameter form. It rejects the two values the
+// grammar cannot spell — empty, or containing a double quote (the
+// tokenizer has no escape) — so every accepted filter has a String() that
+// parses back to itself.
 func (f *Filter) addTerm(key, val string) error {
+	if val == "" || strings.Contains(val, `"`) {
+		return fmt.Errorf("stream: bad value %q for filter key %q", val, key)
+	}
 	switch key {
 	case "prefix":
 		p, err := netip.ParsePrefix(val)
@@ -189,6 +196,9 @@ func (f *Filter) String() string {
 		terms = append(terms, "within="+p.String())
 	}
 	for _, vp := range f.VPs {
+		if strings.ContainsAny(vp, " \t\n") {
+			vp = `"` + vp + `"`
+		}
 		terms = append(terms, "vp="+vp)
 	}
 	for _, as := range f.Origins {
@@ -198,7 +208,10 @@ func (f *Filter) String() string {
 		terms = append(terms, fmt.Sprintf("community=%d:%d", c>>16, c&0xffff))
 	}
 	if f.Path != nil {
-		terms = append(terms, fmt.Sprintf("path=%q", f.Path.String()))
+		// Quoted verbatim, not with %q: the tokenizer strips quotes but
+		// knows no escapes, so %q's doubled backslashes would change the
+		// regex (\s becoming a literal backslash and an s).
+		terms = append(terms, `path="`+f.Path.String()+`"`)
 	}
 	switch f.Type {
 	case 'A':

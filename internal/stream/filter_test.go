@@ -24,46 +24,63 @@ func pathStrOf(u *update.Update) func() string {
 	return (&Event{U: u}).PathString
 }
 
-func TestFilterSemantics(t *testing.T) {
-	announce := upd("vp65001", "203.0.113.0/24", []uint32{65001, 6939, 64999}, []uint32{65001<<16 | 100}, false)
-	withdraw := upd("vp65002", "198.51.100.0/24", nil, nil, true)
-	v6 := upd("vp65001", "2001:db8:1::/48", []uint32{65001, 64999}, nil, false)
+// The filter fixtures: three updates and the expressions judged against
+// them. FuzzParseFilter seeds its corpus from the same table.
+var (
+	fxAnnounce = upd("vp65001", "203.0.113.0/24", []uint32{65001, 6939, 64999}, []uint32{65001<<16 | 100}, false)
+	fxWithdraw = upd("vp65002", "198.51.100.0/24", nil, nil, true)
+	fxV6       = upd("vp65001", "2001:db8:1::/48", []uint32{65001, 64999}, nil, false)
 
-	cases := []struct {
+	filterCases = []struct {
 		expr string
 		u    *update.Update
 		want bool
 	}{
-		{"", announce, true},
-		{"", withdraw, true},
-		{"prefix=203.0.113.0/24", announce, true},
-		{"prefix=203.0.113.0/25", announce, false},
-		{"prefix=198.51.100.0/24 prefix=203.0.113.0/24", announce, true}, // repeat = OR
-		{"within=203.0.113.0/24", announce, true},
-		{"within=203.0.0.0/8", announce, true},
-		{"within=203.0.113.0/25", announce, false}, // update is wider than the bound
-		{"within=2001:db8::/32", v6, true},
-		{"within=2001:db8::/32", announce, false},
-		{"vp=vp65001", announce, true},
-		{"vp=vp65002", announce, false},
-		{"vp=vp65002 vp=vp65001", announce, true},
-		{"origin=64999", announce, true},
-		{"origin=6939", announce, false}, // transit, not origin
-		{"community=65001:100", announce, true},
-		{"community=65001:200", announce, false},
-		{"community=65001:100", withdraw, false}, // withdrawal carries none
-		{`path="(^|\s)6939(\s|$)"`, announce, true},
-		{`path="^65001"`, announce, true},
-		{`path="3356"`, announce, false},
-		{`path="6939"`, withdraw, false}, // empty path never matches a regex requiring content
-		{"type=announce", announce, true},
-		{"type=announce", withdraw, false},
-		{"type=withdraw", withdraw, true},
-		{"type=withdraw", announce, false},
-		{"within=203.0.113.0/24 vp=vp65001 type=announce", announce, true},
-		{"within=203.0.113.0/24 vp=vp65002 type=announce", announce, false}, // AND across keys
+		{"", fxAnnounce, true},
+		{"", fxWithdraw, true},
+		{"prefix=203.0.113.0/24", fxAnnounce, true},
+		{"prefix=203.0.113.0/25", fxAnnounce, false},
+		{"prefix=198.51.100.0/24 prefix=203.0.113.0/24", fxAnnounce, true}, // repeat = OR
+		{"within=203.0.113.0/24", fxAnnounce, true},
+		{"within=203.0.0.0/8", fxAnnounce, true},
+		{"within=203.0.113.0/25", fxAnnounce, false}, // update is wider than the bound
+		{"within=2001:db8::/32", fxV6, true},
+		{"within=2001:db8::/32", fxAnnounce, false},
+		{"vp=vp65001", fxAnnounce, true},
+		{"vp=vp65002", fxAnnounce, false},
+		{"vp=vp65002 vp=vp65001", fxAnnounce, true},
+		{"origin=64999", fxAnnounce, true},
+		{"origin=6939", fxAnnounce, false}, // transit, not origin
+		{"community=65001:100", fxAnnounce, true},
+		{"community=65001:200", fxAnnounce, false},
+		{"community=65001:100", fxWithdraw, false}, // withdrawal carries none
+		{`path="(^|\s)6939(\s|$)"`, fxAnnounce, true},
+		{`path="^65001"`, fxAnnounce, true},
+		{`path="3356"`, fxAnnounce, false},
+		{`path="6939"`, fxWithdraw, false}, // empty path never matches a regex requiring content
+		{"type=announce", fxAnnounce, true},
+		{"type=announce", fxWithdraw, false},
+		{"type=withdraw", fxWithdraw, true},
+		{"type=withdraw", fxAnnounce, false},
+		{"within=203.0.113.0/24 vp=vp65001 type=announce", fxAnnounce, true},
+		{"within=203.0.113.0/24 vp=vp65002 type=announce", fxAnnounce, false}, // AND across keys
 	}
-	for _, tc := range cases {
+
+	badFilterExprs = []string{
+		"prefix=not-a-prefix",
+		"bogus=1",
+		"prefix",          // no value
+		"origin=abc",      // not a number
+		"community=1:2:3", // malformed
+		"type=sideways",
+		`path="(unclosed"`, // bad regex
+		`path="a" path="b"`,
+		`vp="unterminated`,
+	}
+)
+
+func TestFilterSemantics(t *testing.T) {
+	for _, tc := range filterCases {
 		f, err := ParseFilter(tc.expr)
 		if err != nil {
 			t.Fatalf("ParseFilter(%q): %v", tc.expr, err)
@@ -75,17 +92,7 @@ func TestFilterSemantics(t *testing.T) {
 }
 
 func TestParseFilterErrors(t *testing.T) {
-	for _, expr := range []string{
-		"prefix=not-a-prefix",
-		"bogus=1",
-		"prefix",          // no value
-		"origin=abc",      // not a number
-		"community=1:2:3", // malformed
-		"type=sideways",
-		`path="(unclosed"`, // bad regex
-		`path="a" path="b"`,
-		`vp="unterminated`,
-	} {
+	for _, expr := range badFilterExprs {
 		if _, err := ParseFilter(expr); err == nil {
 			t.Errorf("ParseFilter(%q): expected error", expr)
 		}
@@ -129,19 +136,41 @@ func TestFilterFromValues(t *testing.T) {
 	}
 }
 
-func TestFilterStringRoundTrip(t *testing.T) {
-	expr := `prefix=203.0.113.0/24 vp=vp65001 origin=64999 community=65001:100 path="6939" type=announce`
-	f, err := ParseFilter(expr)
-	if err != nil {
-		t.Fatalf("ParseFilter: %v", err)
+// FuzzParseFilter: gill-tail and curl forward user text into this
+// grammar, both as a filter= expression and as direct query parameters.
+// Whatever is thrown at either form must not panic, and every accepted
+// filter must have a String() that parses back to a filter judging the
+// fixtures the same way.
+func FuzzParseFilter(f *testing.F) {
+	for _, tc := range filterCases {
+		f.Add(tc.expr)
 	}
-	f.raw = "" // force reconstruction
-	f2, err := ParseFilter(f.String())
-	if err != nil {
-		t.Fatalf("reparse %q: %v", f.String(), err)
+	for _, expr := range badFilterExprs {
+		f.Add(expr)
 	}
-	u := upd("vp65001", "203.0.113.0/24", []uint32{65001, 6939, 64999}, []uint32{65001<<16 | 100}, false)
-	if !f2.Match(u, pathStrOf(u)) {
-		t.Fatalf("round-tripped filter no longer matches")
+	f.Add(`prefix=203.0.113.0/24 vp=vp65001 origin=64999 community=65001:100 path="6939" type=announce`)
+	f.Add(`vp="two words" path="6939 64999$"`)
+
+	roundTrip := func(t *testing.T, flt *Filter) {
+		flt.raw = "" // force reconstruction from the compiled terms
+		again, err := ParseFilter(flt.String())
+		if err != nil {
+			t.Fatalf("accepted filter renders as %q, which does not parse: %v", flt.String(), err)
+		}
+		for _, u := range []*update.Update{fxAnnounce, fxWithdraw, fxV6} {
+			if got, want := again.Match(u, pathStrOf(u)), flt.Match(u, pathStrOf(u)); got != want {
+				t.Fatalf("filter %q on %s/%s: %v before the round trip, %v after", flt.String(), u.VP, u.Prefix, want, got)
+			}
+		}
 	}
+	f.Fuzz(func(t *testing.T, text string) {
+		if flt, err := ParseFilter(text); err == nil {
+			roundTrip(t, flt)
+		}
+		for _, v := range []url.Values{{"filter": {text}}, {"vp": {text}}, {"path": {text}}, {"prefix": {text}}} {
+			if flt, err := FilterFromValues(v); err == nil {
+				roundTrip(t, flt)
+			}
+		}
+	})
 }

@@ -270,3 +270,30 @@ func TestHubClose(t *testing.T) {
 		t.Fatalf("subscription on closed hub delivered an event")
 	}
 }
+
+// TestHubWireGolden pins the exact bytes of an UPDATE line. Stream
+// consumers — bench/scan.go among them — scan these bytes by hand, so a
+// reordered live.Message field or a changed omitempty is a wire break
+// that must fail here, not at benchmark time.
+func TestHubWireGolden(t *testing.T) {
+	h := NewHub(Config{Shards: 1})
+	defer h.Close()
+	sub := h.Subscribe(SubOptions{})
+
+	announce := upd("vp65001", "203.0.113.0/24", []uint32{65001, 6939, 64999}, []uint32{65001<<16 | 100, 7}, false)
+	announce.TraceID = 0xabcdef
+	h.Publish(announce)
+	h.Publish(upd("vp65002", "198.51.100.0/24", nil, nil, true))
+	h.Publish(upd("vp65001", "2001:db8:1::/48", []uint32{65001, 64999}, nil, false))
+
+	want := []string{
+		`{"type":"UPDATE","vp":"vp65001","timestamp":1693526400,"prefix":"203.0.113.0/24","path":[65001,6939,64999],"communities":[4259905636,7],"seq":1,"trace_id":"0000000000abcdef"}` + "\n",
+		`{"type":"UPDATE","vp":"vp65002","timestamp":1693526400,"prefix":"198.51.100.0/24","withdraw":true,"seq":2}` + "\n",
+		`{"type":"UPDATE","vp":"vp65001","timestamp":1693526400,"prefix":"2001:db8:1::/48","path":[65001,64999],"seq":3}` + "\n",
+	}
+	for i, ev := range recvAll(t, sub, len(want)) {
+		if string(ev.JSON) != want[i] {
+			t.Errorf("line %d:\n got %s want %s", i, ev.JSON, want[i])
+		}
+	}
+}
