@@ -30,7 +30,7 @@ func TestDriftScoreAgainstTrainingBaseline(t *testing.T) {
 
 	var live []*update.Update
 	for i := 0; i < 20; i++ {
-		live = append(live, mkUpdate("vp1", p, []uint32{1, 2, 3}, base))        // known attrs
+		live = append(live, mkUpdate("vp1", p, []uint32{1, 2, 3}, base))         // known attrs
 		live = append(live, mkUpdate("vp1", p, []uint32{9, 9, uint32(9)}, base)) // novel path
 	}
 	r := scoreDrift(obsOf(live, true, base), b, "training", 0.35, 16, 32)

@@ -27,6 +27,11 @@ var ErrStopped = errors.New("stream: handler stopped the tail")
 // the hub hung up on purpose, and reconnecting is the remedy.
 var errEvicted = errors.New("stream: evicted by the hub for falling behind")
 
+// maxLine bounds one NDJSON line. A 4096-byte BGP message renders to a
+// fraction of this; a peer that sends more without a newline is not a
+// stream hub, and the line is an error instead of unbounded memory.
+const maxLine = 64 << 10
+
 // Client is one open /stream subscription.
 type Client struct {
 	body io.ReadCloser
@@ -63,7 +68,7 @@ func Dial(ctx context.Context, hc *http.Client, addr string, query url.Values) (
 		}
 		return nil, err
 	}
-	c := &Client{body: resp.Body, br: bufio.NewReader(resp.Body)}
+	c := &Client{body: resp.Body, br: bufio.NewReaderSize(resp.Body, maxLine)}
 	m, err := c.readLine()
 	if err == nil && m.Type != "hello" {
 		err = fmt.Errorf("stream: %s opened with a %q line, want hello", u.String(), m.Type)
@@ -76,7 +81,10 @@ func Dial(ctx context.Context, hc *http.Client, addr string, query url.Values) (
 }
 
 func (c *Client) readLine() (*live.Message, error) {
-	line, err := c.br.ReadBytes('\n')
+	line, err := c.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		return nil, fmt.Errorf("stream: line longer than %d bytes", maxLine)
+	}
 	if err != nil {
 		return nil, err // a torn final line is dropped with the connection
 	}
@@ -128,18 +136,17 @@ type TailConfig struct {
 // availability story (a consumer that dies with every collector deploy
 // would re-fetch from the archive and melt it).
 //
-// Each update reaches handler at most once: a message whose Seq is not
-// above the last one delivered is dropped. The exception is the first
-// update of a fresh connection. A hub never replays — a subscription only
-// sees what is published after it — so a first Seq at or below the last
-// delivered one can only come from a new hub (the collector restarted and
-// its sequence started over), and tracking restarts from there.
+// Every update the hub sends reaches handler, in arrival order, and none
+// twice: a hub never replays — a subscription only sees what is published
+// after it — so there is nothing to deduplicate, within a connection or
+// across a reconnect. Updates published while disconnected are missed
+// (Seq shows the gap; it restarts at 1 with the collector and concurrent
+// publishers may interleave it, so it is not a filter key).
 //
 // Tail returns nil when ctx ends, ErrStopped (wrapping the cause) when
 // handler returns an error, or the last transport error once the restart
 // budget is exhausted.
 func Tail(ctx context.Context, addr string, query url.Values, cfg TailConfig, handler func(*live.Message) error) error {
-	var lastSeq uint64
 	sup := resilience.Supervisor{
 		Backoff:     cfg.Backoff,
 		MaxRestarts: cfg.MaxRestarts,
@@ -155,7 +162,7 @@ func Tail(ctx context.Context, addr string, query url.Values, cfg TailConfig, ha
 			return err
 		}
 		defer c.Close()
-		for first := true; ; first = false {
+		for {
 			m, err := c.Next()
 			if err != nil {
 				if ctx.Err() != nil {
@@ -163,10 +170,6 @@ func Tail(ctx context.Context, addr string, query url.Values, cfg TailConfig, ha
 				}
 				return err
 			}
-			if m.Seq <= lastSeq && !first {
-				continue
-			}
-			lastSeq = m.Seq
 			if err := handler(m); err != nil {
 				return resilience.Permanent(fmt.Errorf("%w: %w", ErrStopped, err))
 			}

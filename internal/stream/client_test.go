@@ -108,12 +108,12 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
-// TestTailDeduplicatesReplayedMessages pins the at-most-once rule on a
-// scripted transport: each connection opens with hello and keepalive
-// lines, delivers three new seqs with an already-delivered one replayed
-// among them, and ends either in an evicted notice or a bare EOF. The
-// handler must see every seq exactly once and no control line.
-func TestTailDeduplicatesReplayedMessages(t *testing.T) {
+// TestTailSkipsControlLinesAndReconnects pins the client's line handling
+// on a scripted transport: each connection opens with hello and keepalive
+// lines, delivers three updates and ends either in an evicted notice or a
+// bare EOF. The handler must see every update once, in order, and no
+// control line; both endings must lead to a reconnect.
+func TestTailSkipsControlLinesAndReconnects(t *testing.T) {
 	line := func(seq uint64) string {
 		return fmt.Sprintf(`{"type":"UPDATE","vp":"vp1","timestamp":1700000000,"prefix":"203.0.113.0/24","seq":%d}`+"\n", seq)
 	}
@@ -129,11 +129,7 @@ func TestTailDeduplicatesReplayedMessages(t *testing.T) {
 		from := uint64(3*(conns-1) + 1)
 		var b strings.Builder
 		b.WriteString(`{"type":"hello","filter":"vp=vp1"}` + "\n" + `{"type":"keepalive"}` + "\n")
-		b.WriteString(line(from))
-		if from > 1 {
-			b.WriteString(line(from - 1)) // replayed mid-connection
-		}
-		b.WriteString(line(from+1) + line(from+2))
+		b.WriteString(line(from) + `{"type":"keepalive"}` + "\n" + line(from+1) + line(from+2))
 		if conns%2 == 1 {
 			b.WriteString(`{"type":"evicted","seq":99}` + "\n")
 		}
@@ -160,7 +156,76 @@ func TestTailDeduplicatesReplayedMessages(t *testing.T) {
 		want++
 	}
 	if want != 16 {
-		t.Fatalf("delivered %d unique seqs, want 15", want-1)
+		t.Fatalf("delivered %d seqs, want 15", want-1)
+	}
+}
+
+// TestTailDeliversConcurrentPublishers: the daemon's pipeline shards call
+// Publish concurrently, so the hub may enqueue seq N+1 before N. Tail must
+// hand over every line it receives whatever order the seqs arrive in:
+// delivered == published, each seq exactly once.
+func TestTailDeliversConcurrentPublishers(t *testing.T) {
+	const publishers, each = 4, 5000
+	h := NewHub(Config{Shards: 1, ShardQueue: publishers * each, MaxQueue: publishers * each})
+	defer h.Close()
+	srv := httptest.NewServer(h.StreamHandler())
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	seen := make(map[uint64]int, publishers*each)
+	tailErr := make(chan error, 1)
+	go func() {
+		q := url.Values{"queue": {fmt.Sprint(publishers * each)}}
+		tailErr <- Tail(ctx, srv.Listener.Addr().String(), q, TailConfig{Backoff: tailBackoff()}, func(m *live.Message) error {
+			seen[m.Seq]++
+			if len(seen) == publishers*each {
+				cancel()
+			}
+			return nil
+		})
+	}()
+	waitFor(t, "tail attached", func() bool { return h.Subscribers() == 1 })
+
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			u := upd("vp65001", "203.0.113.0/24", []uint32{65001, 3356}, nil, false)
+			for i := 0; i < each; i++ {
+				h.Publish(u)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := <-tailErr; err != nil {
+		t.Fatalf("Tail = %v, want nil on ctx end", err)
+	}
+	if h.EvictedSlow() != 0 {
+		t.Fatalf("hub evicted the tail; the queue was sized to hold every update")
+	}
+	if len(seen) != publishers*each {
+		t.Fatalf("delivered %d of %d published updates", len(seen), publishers*each)
+	}
+	for seq, n := range seen {
+		if n != 1 {
+			t.Fatalf("seq %d delivered %d times", seq, n)
+		}
+	}
+}
+
+// TestDialRejectsUnterminatedLine: a peer that never sends a newline (the
+// wrong port, a proxy) must fail the dial with bounded memory rather than
+// be buffered without limit.
+func TestDialRejectsUnterminatedLine(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(strings.Repeat("x", 2*maxLine)))
+	}))
+	defer srv.Close()
+	_, err := Dial(context.Background(), nil, srv.Listener.Addr().String(), nil)
+	if err == nil || !strings.Contains(err.Error(), "line longer than") {
+		t.Fatalf("Dial = %v, want the line-length error", err)
 	}
 }
 

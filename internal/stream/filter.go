@@ -63,7 +63,7 @@ func ParseFilter(expr string) (*Filter, error) {
 	}
 	for _, t := range terms {
 		key, val, ok := strings.Cut(t, "=")
-		if !ok {
+		if !ok || val == "" {
 			return nil, fmt.Errorf("stream: bad filter term %q (want key=value)", t)
 		}
 		if err := f.addTerm(key, val); err != nil {
@@ -74,14 +74,8 @@ func ParseFilter(expr string) (*Filter, error) {
 }
 
 // addTerm applies one key=value term; used by both the expression parser
-// and the HTTP query-parameter form. It rejects the two values the
-// grammar cannot spell — empty, or containing a double quote (the
-// tokenizer has no escape) — so every accepted filter has a String() that
-// parses back to itself.
+// and the HTTP query-parameter form.
 func (f *Filter) addTerm(key, val string) error {
-	if val == "" || strings.Contains(val, `"`) {
-		return fmt.Errorf("stream: bad value %q for filter key %q", val, key)
-	}
 	switch key {
 	case "prefix":
 		p, err := netip.ParsePrefix(val)

@@ -3,6 +3,7 @@ package stream
 import (
 	"net/netip"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -134,13 +135,23 @@ func TestFilterFromValues(t *testing.T) {
 	if _, err := FilterFromValues(url.Values{"prefix": []string{"zzz"}}); err == nil {
 		t.Fatalf("bad query prefix: expected error")
 	}
+	// Query parameters reach values the expression grammar cannot spell;
+	// they stay accepted.
+	for _, v := range []url.Values{{"path": {`a"b`}}, {"vp": {`say "hi"`}}, {"vp": {""}}} {
+		if _, err := FilterFromValues(v); err != nil {
+			t.Errorf("FilterFromValues(%v): %v", v, err)
+		}
+	}
 }
 
 // FuzzParseFilter: gill-tail and curl forward user text into this
 // grammar, both as a filter= expression and as direct query parameters.
 // Whatever is thrown at either form must not panic, and every accepted
-// filter must have a String() that parses back to a filter judging the
-// fixtures the same way.
+// filter the expression grammar can spell must have a String() that parses
+// back to a filter judging the fixtures the same way. Query parameters
+// reach two values the grammar cannot — an empty one, and one containing a
+// double quote (the tokenizer has no escape); those stay accepted there
+// and are only checked for not panicking.
 func FuzzParseFilter(f *testing.F) {
 	for _, tc := range filterCases {
 		f.Add(tc.expr)
@@ -151,7 +162,18 @@ func FuzzParseFilter(f *testing.F) {
 	f.Add(`prefix=203.0.113.0/24 vp=vp65001 origin=64999 community=65001:100 path="6939" type=announce`)
 	f.Add(`vp="two words" path="6939 64999$"`)
 
+	spellable := func(vals ...string) bool {
+		for _, v := range vals {
+			if v == "" || strings.Contains(v, `"`) {
+				return false
+			}
+		}
+		return true
+	}
 	roundTrip := func(t *testing.T, flt *Filter) {
+		if !spellable(flt.VPs...) || (flt.Path != nil && !spellable(flt.Path.String())) {
+			return
+		}
 		flt.raw = "" // force reconstruction from the compiled terms
 		again, err := ParseFilter(flt.String())
 		if err != nil {
