@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-pipeline bench-recompute chaos obs-smoke quality-smoke serve-smoke bench-serve fabric-smoke bench-fabric obs-fleet-smoke vitals-smoke bench-codec fuzz-smoke bench-guard loc verify
+.PHONY: all build test race bench-e2e bench-pipeline bench-recompute chaos obs-smoke quality-smoke serve-smoke bench-serve fabric-smoke bench-fabric obs-fleet-smoke vitals-smoke bench-codec fuzz-smoke bench-guard loc verify
 
 all: build
 
@@ -157,6 +157,22 @@ fuzz-smoke:
 # The working tree is left clean either way.
 bench-guard:
 	sh scripts/bench_guard.sh
+
+# bench-e2e runs the wire-to-subscriber benchmark (BENCHMARK.json, bench/)
+# the way the driver does — each workload timed and traced, against the
+# real gill-daemon — and fails on a non-zero exit or a run whose ledger
+# check says "correct":false. BENCH_SEED picks the input seed; the last
+# line of every run (the contract's JSON) is printed.
+BENCH_SEED ?= 1
+bench-e2e:
+	@for w in steady burst saturate; do for tr in 0 1; do \
+		echo "bench-e2e: $$w seed=$(BENCH_SEED) trace=$$tr"; \
+		out=$$(bash bench/run.sh --workload $$w --seed $(BENCH_SEED) --seconds 35 --trace $$tr) || \
+			{ echo "$$out"; echo "bench-e2e: FAIL: $$w trace=$$tr exited non-zero"; exit 1; }; \
+		echo "$$out" | tail -n 1; \
+		echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
+			{ echo "bench-e2e: FAIL: $$w trace=$$tr is not correct"; exit 1; }; \
+	done; done
 
 # loc prints the three line counts CHANGES.md reports a PR's LoC delta
 # in: tracked non-test Go and test Go outside bench/ (the benchmark is

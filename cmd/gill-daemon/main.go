@@ -143,8 +143,8 @@ func main() {
 	})
 
 	// The vitals plane: per-VP liveness from a pipeline tap, archive gap
-	// coverage from the WAL seal hook, served on /vitalz and scraped into
-	// the coordinator's /fleet/vitalz.
+	// coverage from the sealed WAL segments, served on /vitalz and scraped
+	// into the coordinator's /fleet/vitalz.
 	var tracker *vitals.Tracker
 	var gaps *vitals.GapAuditor
 	if *vitalsEvery > 0 {
@@ -185,6 +185,7 @@ func main() {
 	}
 	var wal *archive.Journal
 	var ix *index.Service
+	var follower *segmentFollower
 	if *walDir != "" {
 		// Recover first: repair torn tails from a previous crash and report
 		// exactly what survived before appending anything new.
@@ -201,24 +202,18 @@ func main() {
 		if err != nil {
 			fatal("opening wal", "err", err)
 		}
+		wal.Registry = reg
 		// The serving plane's skip-index: Sync (inside NewService) picks up
 		// the recovered segments — rescanning any the repair truncated —
-		// and OnSeal keeps it current as the journal rotates.
+		// and the segment follower keeps it (and the gap audit) current as
+		// the journal rotates, one pass per sealed segment, off the
+		// collection path: the seal hook itself only enqueues.
 		ix, err = index.NewService(*walDir, reg)
 		if err != nil {
 			fatal("opening index", "err", err)
 		}
-		logi := logg.With("index")
-		wal.OnSeal = func(path string) {
-			if err := ix.Index.AddSegment(path); err != nil {
-				logi.Warn("indexing sealed segment failed", "segment", path, "err", err)
-			}
-			if gaps != nil {
-				if err := gaps.ScanSegment(path); err != nil {
-					logi.Warn("gap audit of sealed segment failed", "segment", path, "err", err)
-				}
-			}
-		}
+		follower = newSegmentFollower(reg, indexSealed(ix.Index, gaps, logg.With("index")))
+		wal.OnSeal = follower.enqueue
 		st := ix.Index.Stats()
 		logm.Info("index ready", "segments", st.Segments, "records", st.Records)
 		if gaps != nil {
@@ -456,6 +451,8 @@ func main() {
 		if cerr := wal.Close(); cerr != nil {
 			logm.Error("wal close failed", "err", cerr)
 		}
+		// Close sealed the last segment; leave with everything indexed.
+		follower.close()
 	}
 	if closer != nil {
 		if cerr := closer.Close(); cerr != nil {

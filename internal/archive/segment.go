@@ -7,9 +7,10 @@ package archive
 // updates a VP sends exist nowhere else (§4, §7) — losing an archive tail
 // to a crash is exactly the loss the platform exists to prevent. Segments
 // are the write-ahead form of the archive: length-prefixed CRC-framed
-// records, a per-segment trailer written on rotation, fsync on rotate, and
-// a recovery routine that truncates a torn tail in place and reports
-// exactly how many records were recovered vs. lost.
+// records, a per-segment trailer written on rotation, an fsync of every
+// rotated-out segment off the append path, and a recovery routine that
+// truncates a torn tail in place and reports exactly how many records were
+// recovered vs. lost.
 //
 // Layout:
 //
@@ -33,6 +34,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/mrt"
@@ -58,6 +60,7 @@ type SegmentWriter struct {
 	records uint32
 	crc     uint32
 	closed  bool
+	frame   []byte // reused frame buffer
 }
 
 // CreateSegment creates path (truncating any previous content) and writes
@@ -88,10 +91,10 @@ func (w *SegmentWriter) Append(payload []byte) error {
 	if w.closed {
 		return errors.New("archive: segment closed")
 	}
-	frame := make([]byte, 4+len(payload)+4)
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[4:], payload)
-	binary.BigEndian.PutUint32(frame[4+len(payload):], crc32.Checksum(payload, crcTable))
+	frame := binary.BigEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
+	frame = append(frame, payload...)
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	w.frame = frame
 	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("archive: %w", err)
 	}
@@ -120,10 +123,21 @@ func (w *SegmentWriter) Sync() error {
 // Close seals the segment: trailer, fsync, close. A sealed segment
 // recovers as Clean with zero loss.
 func (w *SegmentWriter) Close() error {
+	f, err := w.seal()
+	if f == nil {
+		return err
+	}
+	return syncClose(f)
+}
+
+// seal writes the trailer and returns the file, complete but not yet
+// forced to stable storage; the caller owes it syncClose. It returns nil
+// once the writer is closed.
+func (w *SegmentWriter) seal() (*os.File, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return nil
+		return nil, nil
 	}
 	w.closed = true
 	var tr [12]byte
@@ -131,13 +145,17 @@ func (w *SegmentWriter) Close() error {
 	binary.BigEndian.PutUint32(tr[8:12], w.crc)
 	if _, err := w.f.Write(tr[:]); err != nil {
 		w.f.Close()
+		return nil, fmt.Errorf("archive: %w", err)
+	}
+	return w.f, nil
+}
+
+func syncClose(f *os.File) error {
+	if err := f.Sync(); err != nil {
+		f.Close()
 		return fmt.Errorf("archive: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("archive: %w", err)
-	}
-	return w.f.Close()
+	return f.Close()
 }
 
 // ScanSegment reads a segment without modifying it, delivering every
@@ -165,37 +183,33 @@ func ScanSegment(path string, fn func(payload []byte) error) (records uint64, se
 	}
 
 	var runCRC uint32
-	var lenBuf [4]byte
-	payload := make([]byte, 0, 4096)
+	var word [8]byte               // a frame's length; the trailer's count and checksum
+	frame := make([]byte, 0, 4096) // a frame's payload and CRC
 	for {
-		if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(br, word[:4]); err != nil {
 			return records, false, nil // torn between frames
 		}
-		length := binary.BigEndian.Uint32(lenBuf[:])
+		length := binary.BigEndian.Uint32(word[:4])
 		if length == 0 {
-			var tr [8]byte
-			if _, err := io.ReadFull(br, tr[:]); err != nil {
+			if _, err := io.ReadFull(br, word[:]); err != nil {
 				return records, false, nil
 			}
-			count := binary.BigEndian.Uint32(tr[:4])
-			sum := binary.BigEndian.Uint32(tr[4:8])
+			count := binary.BigEndian.Uint32(word[:4])
+			sum := binary.BigEndian.Uint32(word[4:])
 			return records, count == uint32(records) && sum == runCRC, nil
 		}
 		if length > MaxSegmentRecord {
 			return records, false, nil // corrupt length: stop at the intact prefix
 		}
-		if cap(payload) < int(length) {
-			payload = make([]byte, length)
+		if cap(frame) < int(length)+4 {
+			frame = make([]byte, length+4)
 		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		frame = frame[:length+4]
+		if _, err := io.ReadFull(br, frame); err != nil {
 			return records, false, nil
 		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return records, false, nil
-		}
-		if binary.BigEndian.Uint32(crcBuf[:]) != crc32.Checksum(payload, crcTable) {
+		payload := frame[:length]
+		if binary.BigEndian.Uint32(frame[length:]) != crc32.Checksum(payload, crcTable) {
 			return records, false, nil
 		}
 		if fn != nil {
@@ -208,16 +222,17 @@ func ScanSegment(path string, fn func(payload []byte) error) (records uint64, se
 	}
 }
 
-// ScanSegmentRecords scans a segment read-only and delivers each intact
-// MRT record in write order. A CRC-valid frame that fails MRT parsing is
-// skipped (it was corrupted before framing).
-func ScanSegmentRecords(path string, fn func(*mrt.Record) error) (records uint64, sealed bool, err error) {
+// ScanUpdates scans a segment read-only through v, the reusable decoder,
+// and calls fn with v positioned on each intact BGP4MP record in write
+// order. A CRC-valid frame that fails to decode is skipped (it was
+// corrupted before framing, or is not an update record). What fn keeps
+// past its return it must copy out of v.
+func ScanUpdates(path string, v *mrt.UpdateView, fn func(*mrt.UpdateView) error) (records uint64, sealed bool, err error) {
 	return ScanSegment(path, func(payload []byte) error {
-		rec, rerr := mrt.NewReader(bytes.NewReader(payload)).ReadRecord()
-		if rerr != nil {
+		if v.Decode(payload) != nil {
 			return nil
 		}
-		return fn(rec)
+		return fn(v)
 	})
 }
 
@@ -418,27 +433,48 @@ func repairSegment(f *os.File, good int64, count, crc uint32, stats *RecoverStat
 }
 
 // Journal is a rotating crash-safe segment store for MRT records: the
-// write-ahead half of the archive. Records are framed with CRCs; every
-// rotation seals the old segment (trailer + fsync) before the next opens,
-// so at most the unsealed tail of the newest segment is at risk, and
-// recovery bounds even that loss to the record cut mid-write.
+// write-ahead half of the archive. Records are framed with CRCs and reach
+// the OS before Append returns. A rotation writes the old segment's
+// trailer and opens the next segment under the journal lock; the old
+// file's fsync and close happen on a background sealer, so an append never
+// waits for the disk. What a crash can tear is therefore the open segment
+// plus any rotated-out segment whose fsync had not finished — recovery
+// bounds the loss in each to the frames the OS had not yet written back —
+// and Sync and Close are the barriers that wait until everything rotated
+// out so far is durable.
 type Journal struct {
 	dir    string
 	rotate uint32
 
 	// OnSeal, when set before the first Append, is invoked with the path
-	// of every segment the journal seals (on rotation and on Close), after
-	// the trailer is durably on disk. The serving plane's index hooks it to
-	// index segments incrementally. The callback runs outside the journal
-	// lock (appends from other goroutines proceed) but must not call back
-	// into the Journal.
+	// of every segment the journal seals, synchronously on the goroutine
+	// of the rotating Append (and of Close), once the trailer is written
+	// and the file is complete for readers; on rotation its fsync may still
+	// be pending. The callback runs outside the journal lock (appends from
+	// other goroutines proceed) but must not call back into the Journal.
 	OnSeal func(path string)
+
+	// Registry, when set before the first Append, receives the
+	// archive.seal_ns histogram (a rotating Append, OnSeal included, as its
+	// caller sees it) and archive.wal.fsync_ns (one background fsync+close).
+	Registry *metrics.Registry
 
 	mu      sync.Mutex
 	seg     *SegmentWriter
 	segPath string
 	seq     int
 	buf     []byte
+	sealNS  *metrics.Histogram
+	fsyncNS *metrics.Histogram
+
+	// The background sealer: unsynced holds the rotated-out files still
+	// owed an fsync+close, oldest first; one goroutine drains it and exits
+	// when it is empty.
+	sealMu   sync.Mutex
+	synced   sync.Cond // on sealMu; signalled whenever unsynced shrinks
+	unsynced []*os.File
+	sealing  bool  // a sealer goroutine is running
+	sealErr  error // first background fsync/close error, reported by Sync/Close
 }
 
 // DefaultJournalRotation is the per-segment record budget.
@@ -465,7 +501,9 @@ func OpenJournal(dir string, rotateRecords int) (*Journal, error) {
 		fmt.Sscanf(filepath.Base(last), "wal-%08d.seg", &seq)
 		seq++
 	}
-	return &Journal{dir: dir, rotate: uint32(rotateRecords), seq: seq}, nil
+	j := &Journal{dir: dir, rotate: uint32(rotateRecords), seq: seq}
+	j.synced.L = &j.sealMu
+	return j, nil
 }
 
 func journalSegments(dir string) ([]string, error) {
@@ -495,20 +533,84 @@ func ListSegments(dir string) ([]string, error) {
 // RecordSink or pipeline ArchiveStage Sink.
 func (j *Journal) Append(rec *mrt.Record) error {
 	j.mu.Lock()
-	var sealed string
-	if j.seg != nil && j.seg.Records() >= j.rotate {
-		if err := j.seg.Close(); err != nil { // seal + fsync on rotate
-			j.mu.Unlock()
-			return err
-		}
-		sealed = j.segPath
-		j.seg = nil
+	if j.seg == nil || j.seg.Records() < j.rotate {
+		err := j.appendLocked(rec)
+		j.mu.Unlock()
+		return err
 	}
-	err := j.appendLocked(rec)
+	start := time.Now()
+	sealed, err := j.rotateLocked()
+	if err == nil {
+		err = j.appendLocked(rec)
+	}
+	sealNS := j.sealNS
 	j.mu.Unlock()
 	if sealed != "" && j.OnSeal != nil {
 		j.OnSeal(sealed)
 	}
+	if sealNS != nil {
+		sealNS.Observe(uint64(time.Since(start)))
+	}
+	return err
+}
+
+// rotateLocked completes the open segment (trailer) and hands its file to
+// the background sealer. It returns the completed segment's path.
+func (j *Journal) rotateLocked() (string, error) {
+	if j.sealNS == nil && j.Registry != nil {
+		buckets := metrics.ExpBuckets(1000, 4, 14) // 1 µs … 67 s
+		j.sealNS = j.Registry.Histogram("archive.seal_ns", buckets)
+		j.fsyncNS = j.Registry.Histogram("archive.wal.fsync_ns", buckets)
+	}
+	f, err := j.seg.seal()
+	j.seg = nil
+	if err != nil {
+		return "", err
+	}
+	j.sealMu.Lock()
+	j.unsynced = append(j.unsynced, f)
+	if !j.sealing {
+		j.sealing = true
+		go j.sealLoop(j.fsyncNS)
+	}
+	j.sealMu.Unlock()
+	return j.segPath, nil
+}
+
+// sealLoop makes the rotated-out segments durable, oldest first, and
+// exits once none is pending.
+func (j *Journal) sealLoop(fsyncNS *metrics.Histogram) {
+	j.sealMu.Lock()
+	for len(j.unsynced) > 0 {
+		f := j.unsynced[0]
+		j.sealMu.Unlock()
+		start := time.Now()
+		err := syncClose(f)
+		if fsyncNS != nil {
+			fsyncNS.Observe(uint64(time.Since(start)))
+		}
+		j.sealMu.Lock()
+		j.unsynced[0] = nil
+		j.unsynced = j.unsynced[1:]
+		if j.sealErr == nil {
+			j.sealErr = err
+		}
+		j.synced.Broadcast()
+	}
+	j.sealing = false
+	j.sealMu.Unlock()
+}
+
+// waitSealed blocks until every segment rotated out so far is durable
+// and returns (once) the first error the background sealer met.
+func (j *Journal) waitSealed() error {
+	j.sealMu.Lock()
+	defer j.sealMu.Unlock()
+	for len(j.unsynced) > 0 {
+		j.synced.Wait()
+	}
+	err := j.sealErr
+	j.sealErr = nil
 	return err
 }
 
@@ -522,44 +624,46 @@ func (j *Journal) appendLocked(rec *mrt.Record) error {
 		j.seg, j.segPath = seg, path
 		j.seq++
 	}
-	w := &sliceWriter{buf: j.buf[:0]}
-	if err := mrt.NewWriter(w).WriteRecord(rec); err != nil {
+	buf, err := mrt.AppendRecord(j.buf[:0], rec)
+	if err != nil {
 		return err
 	}
-	j.buf = w.buf
-	return j.seg.Append(w.buf)
+	j.buf = buf
+	return j.seg.Append(buf)
 }
 
-// sliceWriter collects writes into a reusable buffer.
-type sliceWriter struct{ buf []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}
-
-// Sync forces the open segment to stable storage.
+// Sync is the durability barrier: it returns once every rotated-out
+// segment and everything appended to the open one is on stable storage.
 func (j *Journal) Sync() error {
+	// The open segment first, under the lock: whatever was appended before
+	// this call is then either in it or in a file already handed to the
+	// sealer.
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.seg == nil {
-		return nil
+	var err error
+	if j.seg != nil {
+		err = j.seg.Sync()
 	}
-	return j.seg.Sync()
+	j.mu.Unlock()
+	if werr := j.waitSealed(); err == nil {
+		err = werr
+	}
+	return err
 }
 
-// Close seals the open segment.
+// Close seals the open segment and returns once it and every segment
+// rotated out before it are durable.
 func (j *Journal) Close() error {
 	j.mu.Lock()
-	if j.seg == nil {
-		j.mu.Unlock()
-		return nil
+	var sealed string
+	var err error
+	if j.seg != nil {
+		sealed, err = j.rotateLocked()
 	}
-	err := j.seg.Close()
-	sealed := j.segPath
-	j.seg = nil
 	j.mu.Unlock()
-	if err == nil && j.OnSeal != nil {
+	if werr := j.waitSealed(); err == nil {
+		err = werr
+	}
+	if sealed != "" && j.OnSeal != nil {
 		j.OnSeal(sealed)
 	}
 	return err

@@ -374,7 +374,7 @@ func TestScanSegmentTornTail(t *testing.T) {
 }
 
 // TestJournalOnSeal: every rotation and the final Close report the sealed
-// segment exactly once, after its trailer is on disk.
+// segment exactly once, after its trailer is written.
 func TestJournalOnSeal(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir, 8)
@@ -383,7 +383,7 @@ func TestJournalOnSeal(t *testing.T) {
 	}
 	var sealedPaths []string
 	j.OnSeal = func(path string) {
-		// The trailer must already be durable: a scan sees it sealed.
+		// The file must already be complete: a scan sees it sealed.
 		if _, sealed, err := ScanSegment(path, nil); err != nil || !sealed {
 			t.Errorf("OnSeal(%s): segment not sealed (err=%v)", path, err)
 		}

@@ -3,6 +3,7 @@ package bgp
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -84,7 +85,12 @@ func (s *Session) Close() error {
 	_ = WriteMessage(s.w, &Notification{Code: NotifCease})
 	_ = s.w.Flush()
 	s.mu.Unlock()
-	return s.conn.Close()
+	// The peer answers a Cease by closing, which can end the read loop —
+	// and have it close the conn — before this line runs.
+	if err := s.conn.Close(); err != nil && !errors.Is(err, net.ErrClosed) {
+		return err
+	}
+	return nil
 }
 
 func (s *Session) sendLocked(m Message) error {

@@ -12,20 +12,32 @@
 // Per sealed segment the index stores the record count, the covered
 // timestamp range, the set of vantage points, and the set of announced or
 // withdrawn prefixes as sorted 64-bit FNV-1a fingerprints. Segments are
-// indexed incrementally as the journal seals them (archive.Journal.OnSeal)
-// and the whole index is rebuildable by scan, so it can always be derived
-// from the data it serves. Unsealed or unknown segments are never skipped.
+// indexed incrementally as the journal seals them and the whole index is
+// rebuildable by scan, so it can always be derived from the data it
+// serves. Unsealed or unknown segments are never skipped, which is also
+// why indexing may lag sealing without changing an answer.
+//
+// On disk the index is an append-only log beside the segments: a header
+// line {"version":N}, then one JSON SegmentMeta per line, appended by
+// AddSegment — so persisting a seal costs O(that segment), whatever the
+// archive's size. Open replays the log, the last entry per name winning.
+// Only sealed entries are logged (the others are rescanned by every Sync
+// anyway). The log is rewritten whole only when it holds something Open
+// must not see again — an entry for a deleted segment, a torn last line,
+// another version — and, being derived data, in place: a crash mid-rewrite
+// costs a rescan of the segments whose entries were lost.
 package index
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io/fs"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -35,11 +47,17 @@ import (
 	"repro/internal/mrt"
 )
 
-// FileName is the index file kept beside the segments in the journal dir.
+// FileName is the index log kept beside the segments in the journal dir.
 const FileName = "gillidx.json"
 
 // formatVersion guards the persisted layout; a mismatch forces a rebuild.
-const formatVersion = 1
+// Version 1 was one JSON document rewritten on every seal.
+const formatVersion = 2
+
+// logHeader is the log's first line.
+type logHeader struct {
+	Version int `json:"version"`
+}
 
 // SegmentMeta is the per-segment skip entry.
 type SegmentMeta struct {
@@ -53,8 +71,8 @@ type SegmentMeta struct {
 	// Sealed records whether the segment had a valid trailer when scanned.
 	// Only sealed entries are trusted for skipping.
 	Sealed bool `json:"sealed"`
-	// MinTime and MaxTime bound the record timestamps (unix seconds).
-	// For Records == 0 both are zero.
+	// MinTime and MaxTime bound the timestamps of the segment's BGP4MP
+	// records (unix seconds); both are zero when it has none.
 	MinTime int64 `json:"min_time"`
 	MaxTime int64 `json:"max_time"`
 	// VPs is the sorted set of vantage points seen in the segment.
@@ -64,11 +82,15 @@ type SegmentMeta struct {
 	Prefixes []uint64 `json:"prefixes"`
 }
 
-// PrefixKey fingerprints a prefix for the skip set.
+// PrefixKey fingerprints a prefix for the skip set: FNV-1a over the
+// prefix's text form, computed without allocating.
 func PrefixKey(p netip.Prefix) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(p.String()))
-	return h.Sum64()
+	var buf [64]byte
+	h := uint64(14695981039346656037)
+	for _, c := range p.AppendTo(buf[:0]) {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
 }
 
 func (m *SegmentMeta) hasVP(vp string) bool {
@@ -91,6 +113,14 @@ type Index struct {
 
 	mu   sync.Mutex
 	segs map[string]*SegmentMeta // keyed by base name
+	// Running totals over segs, kept by put and drop so that publishing
+	// the gauges after a seal does not walk the whole index.
+	sealed  int
+	records uint64
+	bytes   int64
+	// stale marks a log that must be rewritten rather than appended to:
+	// it is missing, or holds something Open must not see again.
+	stale bool
 }
 
 // Open loads the persisted index for dir (if any). It does not scan; call
@@ -101,21 +131,27 @@ func Open(dir string) (*Index, error) {
 	data, err := os.ReadFile(filepath.Join(dir, FileName))
 	if err != nil {
 		if os.IsNotExist(err) {
+			ix.stale = true
 			return ix, nil
 		}
 		return nil, fmt.Errorf("index: %w", err)
 	}
-	var file struct {
-		Version  int           `json:"version"`
-		Segments []SegmentMeta `json:"segments"`
-	}
-	if err := json.Unmarshal(data, &file); err != nil || file.Version != formatVersion {
-		// A corrupt or old index is not an error: it is derived data.
+	// A corrupt or old log is not an error: it is derived data, and what
+	// cannot be read is rescanned by Sync.
+	line, rest, ok := bytes.Cut(data, []byte("\n"))
+	var hdr logHeader
+	if !ok || json.Unmarshal(line, &hdr) != nil || hdr.Version != formatVersion {
+		ix.stale = true
 		return ix, nil
 	}
-	for i := range file.Segments {
-		m := file.Segments[i]
-		ix.segs[m.Name] = &m
+	for len(rest) > 0 {
+		line, rest, ok = bytes.Cut(rest, []byte("\n"))
+		m := new(SegmentMeta)
+		if !ok || json.Unmarshal(line, m) != nil || m.Name == "" {
+			ix.stale = true // torn by a crash mid-append, or corrupted
+			continue
+		}
+		ix.put(m)
 	}
 	return ix, nil
 }
@@ -123,62 +159,124 @@ func Open(dir string) (*Index, error) {
 // Dir returns the journal directory the index covers.
 func (ix *Index) Dir() string { return ix.dir }
 
-// scanMeta computes a segment's metadata by scanning it read-only.
-func scanMeta(path string) (*SegmentMeta, error) {
+// put installs m, replacing any entry of the same name.
+func (ix *Index) put(m *SegmentMeta) {
+	if old := ix.segs[m.Name]; old != nil {
+		if old.Sealed && !m.Sealed {
+			ix.stale = true // the log's entry for this name is no longer true
+		}
+		ix.drop(m.Name)
+	}
+	ix.segs[m.Name] = m
+	if m.Sealed {
+		ix.sealed++
+	}
+	ix.records += m.Records
+	ix.bytes += m.Size
+}
+
+// drop removes the named entry from memory; the caller decides whether
+// the log still holds it.
+func (ix *Index) drop(name string) {
+	m := ix.segs[name]
+	if m == nil {
+		return
+	}
+	delete(ix.segs, name)
+	if m.Sealed {
+		ix.sealed--
+	}
+	ix.records -= m.Records
+	ix.bytes -= m.Size
+}
+
+// segmentScan is the reusable scratch of one scanMeta pass.
+type segmentScan struct {
+	view mrt.UpdateView
+	keys []uint64
+	vps  map[string]struct{}
+}
+
+var scanPool = sync.Pool{New: func() any { return &segmentScan{vps: make(map[string]struct{})} }}
+
+// scanMeta computes a segment's metadata in one read-only pass, without
+// allocating per record. observe, when non-nil, is shown every record of
+// the same pass.
+func scanMeta(path string, observe func(*mrt.UpdateView)) (*SegmentMeta, error) {
+	sc := scanPool.Get().(*segmentScan)
+	defer scanPool.Put(sc)
+	sc.keys = sc.keys[:0]
+	clear(sc.vps)
 	m := &SegmentMeta{Name: filepath.Base(path)}
-	vps := make(map[string]bool)
-	prefixes := make(map[uint64]bool)
-	records, sealed, err := archive.ScanSegmentRecords(path, func(rec *mrt.Record) error {
-		ts := rec.Header.Timestamp.Unix()
-		if m.Records == 0 || ts < m.MinTime {
+	timed := false
+	records, sealed, err := archive.ScanUpdates(path, &sc.view, func(v *mrt.UpdateView) error {
+		ts := v.Time.Unix()
+		if !timed || ts < m.MinTime {
 			m.MinTime = ts
 		}
-		if m.Records == 0 || ts > m.MaxTime {
+		if !timed || ts > m.MaxTime {
 			m.MaxTime = ts
 		}
-		m.Records++
-		for _, u := range rec.CanonicalUpdates() {
-			vps[u.VP] = true
-			prefixes[PrefixKey(u.Prefix)] = true
+		timed = true
+		vp := v.VP()
+		v.Each(func(p netip.Prefix, _ bool) {
+			sc.vps[vp] = struct{}{}
+			sc.keys = append(sc.keys, PrefixKey(p))
+		})
+		if observe != nil {
+			observe(v)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Records counts intact frames (including non-update records that still
-	// occupy the segment); m.Records tracked only parseable MRT records.
+	// Records counts intact frames, including any that are not update
+	// records but still occupy the segment.
 	m.Records = records
 	m.Sealed = sealed
 	if fi, err := os.Stat(path); err == nil {
 		m.Size = fi.Size()
 	}
-	m.VPs = make([]string, 0, len(vps))
-	for vp := range vps {
+	m.VPs = make([]string, 0, len(sc.vps))
+	for vp := range sc.vps {
 		m.VPs = append(m.VPs, vp)
 	}
 	sort.Strings(m.VPs)
-	m.Prefixes = make([]uint64, 0, len(prefixes))
-	for k := range prefixes {
-		m.Prefixes = append(m.Prefixes, k)
-	}
-	sort.Slice(m.Prefixes, func(i, j int) bool { return m.Prefixes[i] < m.Prefixes[j] })
+	slices.Sort(sc.keys)
+	keys := slices.Compact(sc.keys)
+	m.Prefixes = append(make([]uint64, 0, len(keys)), keys...)
 	return m, nil
 }
 
-// AddSegment scans one segment and persists its metadata — the
-// incremental path, wired to archive.Journal.OnSeal.
+// AddSegment scans one segment and appends its metadata to the log — the
+// incremental path, run for every segment the journal seals.
 func (ix *Index) AddSegment(path string) error {
-	m, err := scanMeta(path)
+	_, err := ix.AddSegmentObserved(path, nil)
+	return err
+}
+
+// AddSegmentObserved is AddSegment for a caller with per-record work of
+// its own on a sealed segment (the daemon's archive gap audit): observe
+// sees every decoded record of the one pass AddSegment makes, in write
+// order, and must copy what it keeps. It reports whether the segment was
+// sealed.
+func (ix *Index) AddSegmentObserved(path string, observe func(*mrt.UpdateView)) (sealed bool, err error) {
+	start := time.Now()
+	m, err := scanMeta(path, observe)
 	if err != nil {
-		return err
+		return false, err
 	}
 	ix.mu.Lock()
-	ix.segs[m.Name] = m
-	err = ix.saveLocked()
+	ix.put(m)
+	err = ix.persistLocked(m)
+	ix.publishLocked()
 	ix.mu.Unlock()
-	ix.publish()
-	return err
+	if ix.Registry != nil {
+		ix.Registry.Histogram("index.add_segment_ns", metrics.ExpBuckets(1000, 4, 14)).
+			Observe(uint64(time.Since(start)))
+	}
+	return m.Sealed, err
 }
 
 // syncScanHook, when set, runs before Sync re-scans a segment. Tests
@@ -190,9 +288,10 @@ var syncScanHook func(path string)
 // deleted segments are dropped, and any segment that is missing, was
 // unsealed when last scanned, or whose size changed (crash repair
 // truncates in place) is re-scanned. Trusted sealed entries are kept
-// as-is, so a clean restart costs one directory listing. A segment that
-// vanishes between the listing and its scan (retention pruning runs
-// concurrently) is treated as deleted, not as an error.
+// as-is, so a clean restart costs one directory listing and writes
+// nothing. A segment that vanishes between the listing and its scan
+// (retention pruning runs concurrently) is treated as deleted, not as an
+// error.
 func (ix *Index) Sync() error {
 	segs, err := archive.ListSegments(ix.dir)
 	if err != nil {
@@ -202,9 +301,10 @@ func (ix *Index) Sync() error {
 		return err
 	}
 	ix.mu.Lock()
-	defer func() { ix.publish() }()
 	defer ix.mu.Unlock()
+	defer ix.publishLocked()
 	present := make(map[string]bool, len(segs))
+	var added []*SegmentMeta
 	for _, path := range segs {
 		name := filepath.Base(path)
 		present[name] = true
@@ -217,23 +317,24 @@ func (ix *Index) Sync() error {
 		if syncScanHook != nil {
 			syncScanHook(path)
 		}
-		m, err := scanMeta(path)
+		m, err := scanMeta(path, nil)
 		if err != nil {
 			if errors.Is(err, fs.ErrNotExist) {
 				delete(present, name)
-				delete(ix.segs, name)
 				continue
 			}
 			return err
 		}
-		ix.segs[name] = m
+		ix.put(m)
+		added = append(added, m)
 	}
 	for name := range ix.segs {
 		if !present[name] {
-			delete(ix.segs, name)
+			ix.drop(name)
+			ix.stale = true
 		}
 	}
-	return ix.saveLocked()
+	return ix.persistLocked(added...)
 }
 
 // Rebuild discards every entry and recomputes the index by scanning all
@@ -241,35 +342,55 @@ func (ix *Index) Sync() error {
 func (ix *Index) Rebuild() error {
 	ix.mu.Lock()
 	ix.segs = make(map[string]*SegmentMeta)
+	ix.sealed, ix.records, ix.bytes = 0, 0, 0
+	ix.stale = true
 	ix.mu.Unlock()
 	return ix.Sync()
 }
 
-// saveLocked atomically persists the index beside the segments.
-func (ix *Index) saveLocked() error {
-	names := make([]string, 0, len(ix.segs))
-	for name := range ix.segs {
-		names = append(names, name)
+// persistLocked brings the log up to date after added entered the index:
+// normally by appending them, and by rewriting the whole log from memory
+// when it is stale.
+func (ix *Index) persistLocked(added ...*SegmentMeta) error {
+	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf) // one line per value
+	if ix.stale {
+		flags = os.O_CREATE | os.O_WRONLY | os.O_TRUNC
+		added = make([]*SegmentMeta, 0, len(ix.segs))
+		for _, m := range ix.segs {
+			added = append(added, m)
+		}
+		sort.Slice(added, func(i, j int) bool { return added[i].Name < added[j].Name })
+		if err := enc.Encode(logHeader{formatVersion}); err != nil {
+			return err
+		}
 	}
-	sort.Strings(names)
-	file := struct {
-		Version  int           `json:"version"`
-		Segments []SegmentMeta `json:"segments"`
-	}{Version: formatVersion}
-	for _, name := range names {
-		file.Segments = append(file.Segments, *ix.segs[name])
+	for _, m := range added {
+		if !m.Sealed {
+			continue
+		}
+		if err := enc.Encode(m); err != nil {
+			return err
+		}
 	}
-	data, err := json.Marshal(file)
+	if buf.Len() == 0 {
+		return nil
+	}
+	// Until the write is known whole, the log may end in a torn line.
+	ix.stale = true
+	f, err := os.OpenFile(filepath.Join(ix.dir, FileName), flags, 0o644)
 	if err != nil {
-		return err
-	}
-	tmp := filepath.Join(ix.dir, FileName+".tmp")
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("index: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(ix.dir, FileName)); err != nil {
+	if _, err := f.Write(buf.Bytes()); err != nil {
+		f.Close()
 		return fmt.Errorf("index: %w", err)
 	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("index: %w", err)
+	}
+	ix.stale = false
 	return nil
 }
 
@@ -329,16 +450,15 @@ func (ix *Index) Stats() Stats {
 	return s
 }
 
-// publish refreshes the index.* gauges.
-func (ix *Index) publish() {
+// publishLocked refreshes the index.* gauges from the running totals.
+func (ix *Index) publishLocked() {
 	if ix.Registry == nil {
 		return
 	}
-	s := ix.Stats()
-	ix.Registry.Gauge("index.segments").Set(int64(s.Segments))
-	ix.Registry.Gauge("index.sealed_segments").Set(int64(s.Sealed))
-	ix.Registry.Gauge("index.records").Set(int64(s.Records))
-	ix.Registry.Gauge("index.bytes").Set(s.Bytes)
+	ix.Registry.Gauge("index.segments").Set(int64(len(ix.segs)))
+	ix.Registry.Gauge("index.sealed_segments").Set(int64(ix.sealed))
+	ix.Registry.Gauge("index.records").Set(int64(ix.records))
+	ix.Registry.Gauge("index.bytes").Set(ix.bytes)
 }
 
 // Query selects updates from the journal. Zero fields match everything;

@@ -74,7 +74,8 @@ func (s *Service) scanPlan(q Query) (scan []string, skipped int, err error) {
 
 // Query scans the matching segments and returns the canonical updates
 // selected by q, sorted by timestamp (stable, preserving write order
-// within a second).
+// within a second). The scan decodes in place and allocates only for the
+// updates it returns.
 func (s *Service) Query(q Query) ([]*update.Update, error) {
 	start := time.Now()
 	scan, skipped, err := s.scanPlan(q)
@@ -82,13 +83,15 @@ func (s *Service) Query(q Query) ([]*update.Update, error) {
 		return nil, err
 	}
 	var out []*update.Update
+	var view mrt.UpdateView
 	for _, path := range scan {
-		_, _, err := archive.ScanSegmentRecords(path, func(rec *mrt.Record) error {
-			for _, u := range rec.CanonicalUpdates() {
-				if q.matches(u.Time, u.Prefix, u.VP) {
-					out = append(out, u)
+		_, _, err := archive.ScanUpdates(path, &view, func(v *mrt.UpdateView) error {
+			vp := v.VP()
+			v.Each(func(p netip.Prefix, withdraw bool) {
+				if q.matches(v.Time, p, vp) {
+					out = append(out, v.Canonical(p, withdraw))
 				}
-			}
+			})
 			return nil
 		})
 		if err != nil {
@@ -144,20 +147,18 @@ func replayRIB(segs []string, at time.Time, prefix netip.Prefix, vp string) ([]*
 		pfx netip.Prefix
 	}
 	routes := make(map[key]*update.Update)
+	var view mrt.UpdateView
 	for _, path := range segs {
-		_, _, err := archive.ScanSegmentRecords(path, func(rec *mrt.Record) error {
-			for _, u := range rec.CanonicalUpdates() {
-				if u.Time.After(at) {
-					continue
-				}
-				if vp != "" && u.VP != vp {
-					continue
-				}
-				if prefix.IsValid() && u.Prefix != prefix {
-					continue
-				}
-				routes[key{u.VP, u.Prefix}] = u
+		_, _, err := archive.ScanUpdates(path, &view, func(v *mrt.UpdateView) error {
+			from := v.VP()
+			if v.Time.After(at) || (vp != "" && from != vp) {
+				return nil
 			}
+			v.Each(func(p netip.Prefix, withdraw bool) {
+				if !prefix.IsValid() || p == prefix {
+					routes[key{from, p}] = v.Canonical(p, withdraw)
+				}
+			})
 			return nil
 		})
 		if err != nil {

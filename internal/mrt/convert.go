@@ -25,30 +25,31 @@ func (r *Record) CanonicalUpdates() []*update.Update {
 	for i, c := range mcs {
 		comms[i] = uint32(c)
 	}
-	announce := func(p netip.Prefix) {
-		out = append(out, &update.Update{
-			VP: vp, Time: r.Header.Timestamp, Prefix: p,
-			Path: path, Comms: comms,
-		})
-	}
-	withdraw := func(p netip.Prefix) {
-		out = append(out, &update.Update{
-			VP: vp, Time: r.Header.Timestamp, Prefix: p, Withdraw: true,
-		})
-	}
-	for _, p := range msg.NLRI {
-		announce(p)
-	}
-	for _, p := range msg.V6NLRI {
-		announce(p)
-	}
-	for _, p := range msg.Withdrawn {
-		withdraw(p)
-	}
-	for _, p := range msg.V6Withdrawn {
-		withdraw(p)
-	}
+	eachPrefix(msg, func(p netip.Prefix, withdraw bool) {
+		u := &update.Update{VP: vp, Time: r.Header.Timestamp, Prefix: p, Withdraw: withdraw}
+		if !withdraw {
+			u.Path, u.Comms = path, comms
+		}
+		out = append(out, u)
+	})
 	return out
+}
+
+// eachPrefix calls fn for every prefix u announces, then every prefix it
+// withdraws — the order of the canonical updates of one message.
+func eachPrefix(u *bgp.Update, fn func(p netip.Prefix, withdraw bool)) {
+	for _, p := range u.NLRI {
+		fn(p, false)
+	}
+	for _, p := range u.V6NLRI {
+		fn(p, false)
+	}
+	for _, p := range u.Withdrawn {
+		fn(p, true)
+	}
+	for _, p := range u.V6Withdrawn {
+		fn(p, true)
+	}
 }
 
 func utoa(v uint32) string {

@@ -9,7 +9,9 @@ import (
 // FuzzReadRecord feeds arbitrary byte streams to the MRT reader and checks
 // the parser invariants: no panic on any input, and every record that
 // parses must re-encode to a stream the reader accepts again, with the
-// second encoding a byte-level fixed point.
+// second encoding a byte-level fixed point. The allocation-free view is
+// held to the reader on the same bytes: it accepts the same BGP4MP records
+// and yields the same canonical updates.
 func FuzzReadRecord(f *testing.F) {
 	seed := func(s string) {
 		b, err := hex.DecodeString(s)
@@ -27,6 +29,7 @@ func FuzzReadRecord(f *testing.F) {
 	// Hostile length field: claims more than MaxRecordLen.
 	f.Add([]byte{0, 0, 0, 0, 0, 16, 0, 4, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkViewAgrees(t, new(UpdateView), data)
 		r := NewReader(bytes.NewReader(data))
 		for i := 0; i < 64; i++ {
 			rec, err := r.ReadRecord()

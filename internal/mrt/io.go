@@ -71,6 +71,16 @@ func (w *Writer) WriteRecord(r *Record) error {
 	return err
 }
 
+// parseHeader decodes the common 12-byte record header.
+func parseHeader(hdr []byte) Header {
+	return Header{
+		Timestamp: time.Unix(int64(binary.BigEndian.Uint32(hdr[0:4])), 0).UTC(),
+		Type:      binary.BigEndian.Uint16(hdr[4:6]),
+		Subtype:   binary.BigEndian.Uint16(hdr[6:8]),
+		Length:    binary.BigEndian.Uint32(hdr[8:12]),
+	}
+}
+
 // Reader deserializes MRT records from an underlying stream. The body
 // buffer is reused across ReadRecord calls (every parser copies what it
 // keeps); Reader is not safe for concurrent use.
@@ -91,12 +101,7 @@ func (r *Reader) ReadRecord() (*Record, error) {
 		}
 		return nil, err
 	}
-	rec := &Record{Header: Header{
-		Timestamp: time.Unix(int64(binary.BigEndian.Uint32(hdr[0:4])), 0).UTC(),
-		Type:      binary.BigEndian.Uint16(hdr[4:6]),
-		Subtype:   binary.BigEndian.Uint16(hdr[6:8]),
-		Length:    binary.BigEndian.Uint32(hdr[8:12]),
-	}}
+	rec := &Record{Header: parseHeader(hdr[:])}
 	if rec.Header.Length > MaxRecordLen {
 		return nil, fmt.Errorf("%w: record length %d exceeds %d", ErrShortRecord, rec.Header.Length, MaxRecordLen)
 	}

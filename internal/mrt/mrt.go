@@ -182,16 +182,30 @@ func (m *BGP4MPMessage) appendTo(b []byte) ([]byte, error) {
 }
 
 func parseBGP4MP(src []byte) (*BGP4MPMessage, error) {
+	m := &BGP4MPMessage{}
+	rest, err := m.parseHeader(src)
+	if err != nil {
+		return nil, err
+	}
+	msg, err := bgp.Unmarshal(rest)
+	if err != nil {
+		return nil, err
+	}
+	m.Message = msg
+	return m, nil
+}
+
+// parseHeader fills m's fixed fields (everything but Message) from a
+// BGP4MP body and returns the BGP message bytes that follow them.
+func (m *BGP4MPMessage) parseHeader(src []byte) (rest []byte, err error) {
 	if len(src) < 12 {
 		return nil, ErrShortRecord
 	}
-	m := &BGP4MPMessage{
-		PeerAS:    binary.BigEndian.Uint32(src[0:4]),
-		LocalAS:   binary.BigEndian.Uint32(src[4:8]),
-		Interface: binary.BigEndian.Uint16(src[8:10]),
-	}
+	m.PeerAS = binary.BigEndian.Uint32(src[0:4])
+	m.LocalAS = binary.BigEndian.Uint32(src[4:8])
+	m.Interface = binary.BigEndian.Uint16(src[8:10])
 	afi := binary.BigEndian.Uint16(src[10:12])
-	rest := src[12:]
+	rest = src[12:]
 	switch afi {
 	case bgp.AFIIPv4:
 		if len(rest) < 8 {
@@ -201,7 +215,7 @@ func parseBGP4MP(src []byte) (*BGP4MPMessage, error) {
 		copy(p[:], rest[0:4])
 		copy(l[:], rest[4:8])
 		m.PeerIP, m.LocalIP = netip.AddrFrom4(p), netip.AddrFrom4(l)
-		rest = rest[8:]
+		return rest[8:], nil
 	case bgp.AFIIPv6:
 		if len(rest) < 32 {
 			return nil, ErrShortRecord
@@ -210,16 +224,10 @@ func parseBGP4MP(src []byte) (*BGP4MPMessage, error) {
 		copy(p[:], rest[0:16])
 		copy(l[:], rest[16:32])
 		m.PeerIP, m.LocalIP = netip.AddrFrom16(p), netip.AddrFrom16(l)
-		rest = rest[32:]
+		return rest[32:], nil
 	default:
 		return nil, fmt.Errorf("mrt: unknown AFI %d", afi)
 	}
-	msg, err := bgp.Unmarshal(rest)
-	if err != nil {
-		return nil, err
-	}
-	m.Message = msg
-	return m, nil
 }
 
 func (p *PeerIndexTable) appendTo(b []byte) ([]byte, error) {

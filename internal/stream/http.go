@@ -122,8 +122,11 @@ func (h *Hub) StreamHandler() http.Handler {
 			return
 		}
 
+		// Keepalives are for idle streams: a tick that finds an update was
+		// written since the previous one sends nothing.
 		keepalive := time.NewTicker(h.cfg.Keepalive)
 		defer keepalive.Stop()
+		idle := true
 		ctx := r.Context()
 		for {
 			select {
@@ -143,7 +146,12 @@ func (h *Hub) StreamHandler() http.Handler {
 				if err := write(ev.JSON, len(sub.C()) == 0); err != nil {
 					return
 				}
+				idle = false
 			case <-keepalive.C:
+				if !idle {
+					idle = true
+					continue
+				}
 				note, _ := json.Marshal(map[string]string{"type": "keepalive"})
 				if err := write(append(note, '\n'), true); err != nil {
 					return

@@ -183,3 +183,53 @@ func TestStreamHandlerDeadClientReaped(t *testing.T) {
 		t.Fatalf("subscriber left via slow-eviction (%d), want write-deadline reap", h.EvictedSlow())
 	}
 }
+
+// TestStreamHandlerKeepaliveOnlyWhenIdle: a keepalive says "still here" on
+// a stream that would otherwise be silent. A stream carrying updates says
+// so by itself and gets none; once the updates stop, one follows.
+func TestStreamHandlerKeepaliveOnlyWhenIdle(t *testing.T) {
+	const every = 150 * time.Millisecond
+	h := NewHub(Config{Shards: 1, Keepalive: every})
+	defer h.Close()
+	srv := httptest.NewServer(h.StreamHandler())
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/")
+	if err != nil {
+		t.Fatalf("GET: %v", err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	next := func() string {
+		t.Helper()
+		if !sc.Scan() {
+			t.Fatalf("stream ended early: %v", sc.Err())
+		}
+		var m struct{ Type string }
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		return m.Type
+	}
+	if got := next(); got != "hello" {
+		t.Fatalf("first line is %q, want hello", got)
+	}
+	waitFor(t, "subscriber attach", func() bool { return h.Subscribers() == 1 })
+
+	// Busy for four keepalive periods: each update is published as soon as
+	// the previous one has been read back.
+	updates := 0
+	for start := time.Now(); time.Since(start) < 4*every; updates++ {
+		h.Publish(upd("vp65001", "203.0.113.0/24", []uint32{65001, 64999}, nil, false))
+		got := next()
+		if got == "keepalive" && updates == 0 {
+			got = next() // the stream was idle until this first update
+		}
+		if got != "UPDATE" {
+			t.Fatalf("line %d of a busy stream is %q, want an update", updates, got)
+		}
+	}
+	// Idle: the next line is a keepalive.
+	if got := next(); got != "keepalive" {
+		t.Fatalf("an idle stream sent %q, want keepalive", got)
+	}
+}

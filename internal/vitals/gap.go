@@ -2,7 +2,6 @@ package vitals
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,11 +14,12 @@ import (
 // Records for a VP whose timestamps sit within MaxGap of each other
 // extend the VP's covered range; a larger jump is a Gap — a time window
 // in which the archive holds nothing from that VP even though it was
-// peered. The daemon feeds the auditor online from the WAL seal hook;
-// gill-query -gaps replays a whole journal directory offline. Both paths
-// go through Observe, so online and offline reports agree exactly
-// (MRT timestamps are second-resolution, which is what makes "exactly"
-// testable against an injected outage window).
+// peered. The daemon feeds the auditor online, segment by segment as the
+// WAL seals them; gill-query -gaps replays a whole journal directory
+// offline. Both paths go through ObserveView and SegmentDone, so online
+// and offline reports agree exactly (MRT timestamps are second-resolution,
+// which is what makes "exactly" testable against an injected outage
+// window).
 type GapAuditor struct {
 	maxGap time.Duration
 	gapSec *metrics.Counter
@@ -122,26 +122,19 @@ func (g *GapAuditor) observeLocked(vp string, ts time.Time) {
 	c.last = ts
 }
 
-// ObserveRecord attributes one MRT record to its VP. Non-BGP4MP records
-// (peer index tables, RIB dumps) carry no per-VP liveness signal and are
-// skipped.
-func (g *GapAuditor) ObserveRecord(rec *mrt.Record) {
-	if rec == nil || rec.BGP4MP == nil {
-		return
-	}
-	g.Observe("vp"+strconv.FormatUint(uint64(rec.BGP4MP.PeerAS), 10), rec.Header.Timestamp)
+// ObserveView attributes one archived BGP4MP record to its VP. It is the
+// per-record half of a segment scan: the daemon's segment follower hands
+// it to the index's pass over a sealed segment, ScanSegment runs a pass of
+// its own. Other record types never reach a view.
+func (g *GapAuditor) ObserveView(v *mrt.UpdateView) {
+	g.Observe(v.VP(), v.Time)
 }
 
-// ScanSegment folds one WAL segment into the coverage state. The daemon
-// calls it from the journal's seal hook; AuditDir calls it per segment.
-// A segment without a seal record counts as torn — its tail may have
-// lost records to a crash, which the coverage math then reports as a
-// gap if the loss exceeds maxGap.
-func (g *GapAuditor) ScanSegment(path string) error {
-	_, sealed, err := archive.ScanSegmentRecords(path, func(rec *mrt.Record) error {
-		g.ObserveRecord(rec)
-		return nil
-	})
+// SegmentDone is the per-segment half: it counts one scanned segment. A
+// segment without a seal record counts as torn — its tail may have lost
+// records to a crash, which the coverage math then reports as a gap if
+// the loss exceeds maxGap.
+func (g *GapAuditor) SegmentDone(sealed bool) {
 	g.mu.Lock()
 	g.segments++
 	if sealed {
@@ -150,6 +143,16 @@ func (g *GapAuditor) ScanSegment(path string) error {
 		g.torn++
 	}
 	g.mu.Unlock()
+}
+
+// ScanSegment folds one WAL segment into the coverage state.
+func (g *GapAuditor) ScanSegment(path string) error {
+	var view mrt.UpdateView
+	_, sealed, err := archive.ScanUpdates(path, &view, func(v *mrt.UpdateView) error {
+		g.ObserveView(v)
+		return nil
+	})
+	g.SegmentDone(sealed)
 	return err
 }
 

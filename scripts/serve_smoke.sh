@@ -92,6 +92,23 @@ grep -q '198.51.100.0/24' "$dir/stream.ndjson" &&
 	fail "filtered stream leaked the decoy prefix" || true
 echo "serve-smoke: stream delivered $n filtered updates, decoy suppressed"
 
+# Sealed segments are indexed by the daemon's segment follower, behind the
+# collection path: wait until it has caught up, so that what follows
+# exercises the indexed read path and not the scan-everything fallback.
+follower_idle() {
+	curl -fsS "http://$addr/metrics" >"$dir/lag.txt" 2>/dev/null &&
+		grep -q '^index_follower_lag_segments 0$' "$dir/lag.txt"
+}
+i=0
+while [ $i -lt 50 ]; do
+	follower_idle && break
+	i=$((i + 1))
+	sleep 0.1
+done
+follower_idle || fail "segment follower never caught up"
+sealed=$(sed -n 's/^index_sealed_segments \([0-9]*\)$/\1/p' "$dir/lag.txt")
+[ "${sealed:-0}" -ge 11 ] || fail "follower indexed ${sealed:-0} sealed segments, want >= 11"
+
 # Query plane over HTTP: index inventory and RIB reconstruction.
 "$dir/gill-query" -http "$addr" -stats >"$dir/stats.txt" ||
 	fail "gill-query -http -stats failed"
@@ -113,7 +130,11 @@ for series in \
 	stream_subscribers \
 	stream_delivered \
 	index_segments \
-	index_records; do
+	index_records \
+	index_follower_lag_segments \
+	index_add_segment_ns_count \
+	archive_seal_ns_count \
+	archive_wal_fsync_ns_count; do
 	grep -q "^$series" "$dir/metrics.txt" ||
 		fail "/metrics missing series $series"
 done

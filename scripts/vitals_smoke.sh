@@ -118,7 +118,20 @@ curl -fsS "http://$addr/vitalz?format=prom" >"$dir/vitalz.prom"
 grep -q 'vitals_vp_state{vp="vp65002",state="live"} 1' "$dir/vitalz.prom" ||
 	fail "/vitalz?format=prom missing the vp65002 live row"
 
-# The online auditor (seal-fed) must already charge vp65002 a gap.
+# The online auditor is fed by the segment follower as the WAL seals
+# segments; once the follower has caught up it must already charge
+# vp65002 a gap.
+follower_idle() {
+	curl -fsS "http://$addr/metrics" >"$dir/lag.txt" 2>/dev/null &&
+		grep -q '^index_follower_lag_segments 0$' "$dir/lag.txt"
+}
+i=0
+while [ $i -lt 50 ]; do
+	follower_idle && break
+	i=$((i + 1))
+	sleep 0.1
+done
+follower_idle || fail "segment follower never caught up"
 curl -fsS "http://$addr/vitalz" | tr -d ' \n\t' >"$dir/vitalz.json"
 grep -q '"gap_seconds_total":[1-9]' "$dir/vitalz.json" ||
 	fail "online gap auditor never recorded the outage"
