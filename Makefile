@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-e2e bench-pipeline bench-recompute chaos obs-smoke quality-smoke serve-smoke bench-serve fabric-smoke bench-fabric obs-fleet-smoke vitals-smoke bench-codec fuzz-smoke bench-guard loc verify
+.PHONY: all build test race bench-e2e bench-profile bench-pipeline bench-recompute chaos obs-smoke quality-smoke serve-smoke bench-serve fabric-smoke bench-fabric obs-fleet-smoke vitals-smoke bench-codec fuzz-smoke bench-guard loc verify
 
 all: build
 
@@ -141,13 +141,15 @@ bench-codec:
 # fuzz-smoke runs each native fuzz target briefly against its checked-in
 # seeds plus a short randomized burst: the BGP wire decoder (eager and
 # lazy paths must agree, re-encoding must be a byte-stable fixed point),
-# the MRT record parser, and the /stream filter grammar (every accepted
-# filter's String() must parse back to the same filter). Longer
-# campaigns: raise -fuzztime.
+# the MRT record parser, the /stream filter grammar (every accepted
+# filter's String() must parse back to the same filter), and the /stream
+# line appender (byte-identical to encoding/json). Longer campaigns: raise
+# -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime 5s ./internal/bgp/
 	$(GO) test -run xxx -fuzz FuzzReadRecord -fuzztime 5s ./internal/mrt/
 	$(GO) test -run xxx -fuzz FuzzParseFilter -fuzztime 5s ./internal/stream/
+	$(GO) test -run xxx -fuzz FuzzAppendEventJSON -fuzztime 5s ./internal/stream/
 
 # bench-guard is the perf-trajectory gate: regenerate BENCH_fabric.json,
 # BENCH_serve.json and BENCH_codec.json on this machine and fail if any
@@ -173,6 +175,16 @@ bench-e2e:
 		echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
 			{ echo "bench-e2e: FAIL: $$w trace=$$tr is not correct"; exit 1; }; \
 	done; done
+
+# bench-profile runs one workload of the wire-to-subscriber benchmark
+# (bench/ untouched) and, mid-run, takes a 10 s CPU profile from the
+# daemon's admin plane plus every daemon thread's voluntary and
+# involuntary context switches over the same 10 s; it prints
+# `go tool pprof -top -cum` and the switch table, and keeps both under
+# .bench_profile/. Every hot-path claim cites the profile this makes.
+WORKLOAD ?= saturate
+bench-profile:
+	WORKLOAD=$(WORKLOAD) BENCH_SEED=$(BENCH_SEED) GO=$(GO) sh scripts/bench_profile.sh
 
 # loc prints the three line counts CHANGES.md reports a PR's LoC delta
 # in: tracked non-test Go and test Go outside bench/ (the benchmark is

@@ -39,7 +39,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/index"
 	"repro/internal/metrics"
-	"repro/internal/mrt"
 	"repro/internal/quality"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -226,16 +225,18 @@ func main() {
 	}
 	switch {
 	case store != nil && wal != nil:
-		cfgD.RecordSink = func(rec *mrt.Record) error {
-			if err := wal.Append(rec); err != nil {
-				return err
+		cfgD.RecordSink = func(recs [][]byte) (int, error) {
+			n, err := wal.AppendBatch(recs)
+			m, serr := store.AppendBatch(recs[:n])
+			if err == nil {
+				err = serr
 			}
-			return store.Append(rec)
+			return m, err
 		}
 	case store != nil:
-		cfgD.RecordSink = store.Append
+		cfgD.RecordSink = store.AppendBatch
 	case wal != nil:
-		cfgD.RecordSink = wal.Append
+		cfgD.RecordSink = wal.AppendBatch
 	}
 
 	// The live feed: retained updates go to the admin plane's NDJSON

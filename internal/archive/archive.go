@@ -8,6 +8,7 @@ package archive
 
 import (
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -31,7 +32,7 @@ type Store struct {
 	rotate time.Duration
 
 	mu       sync.Mutex
-	cur      *mrt.Writer
+	buf      []byte // Append's encode buffer
 	curGz    *gzip.Writer
 	curFile  *os.File
 	curStart time.Time
@@ -60,24 +61,49 @@ func (s *Store) windowStart(t time.Time) time.Time {
 	return t.UTC().Truncate(s.rotate)
 }
 
-// Append writes one record into the file covering its timestamp's window.
-// Records are expected in roughly chronological order; a record older than
-// the currently open window lands in the current file (its timestamp stays
-// authoritative for queries).
+// Append writes one record into the file covering its timestamp's window:
+// a one-record AppendBatch.
 func (s *Store) Append(rec *mrt.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	w := s.windowStart(rec.Header.Timestamp)
-	if s.cur == nil || w.After(s.curStart) {
-		if err := s.rollLocked(w); err != nil {
-			return err
-		}
-	}
-	if err := s.cur.WriteRecord(rec); err != nil {
+	buf, err := mrt.AppendRecord(s.buf[:0], rec)
+	if err != nil {
 		return err
 	}
-	s.appended++
-	return nil
+	s.buf = buf
+	_, err = s.appendLocked([][]byte{buf})
+	return err
+}
+
+// AppendBatch writes encoded MRT records, in order, each into the file
+// covering its timestamp's window (the first four bytes of its MRT
+// header), and returns how many it wrote; fewer than len(recs) comes with
+// the error that stopped it. Records are expected in roughly chronological
+// order; a record older than the currently open window lands in the
+// current file (its timestamp stays authoritative for queries).
+func (s *Store) AppendBatch(recs [][]byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.appendLocked(recs)
+}
+
+func (s *Store) appendLocked(recs [][]byte) (int, error) {
+	for i, rec := range recs {
+		if len(rec) < 12 {
+			return i, fmt.Errorf("archive: %w", mrt.ErrShortRecord)
+		}
+		w := s.windowStart(time.Unix(int64(binary.BigEndian.Uint32(rec)), 0))
+		if s.curGz == nil || w.After(s.curStart) {
+			if err := s.rollLocked(w); err != nil {
+				return i, err
+			}
+		}
+		if _, err := s.curGz.Write(rec); err != nil {
+			return i, fmt.Errorf("archive: %w", err)
+		}
+		s.appended++
+	}
+	return len(recs), nil
 }
 
 // rollLocked closes the current file and opens the window's file.
@@ -92,13 +118,12 @@ func (s *Store) rollLocked(start time.Time) error {
 	}
 	s.curFile = f
 	s.curGz = gzip.NewWriter(f)
-	s.cur = mrt.NewWriter(s.curGz)
 	s.curStart = start
 	return nil
 }
 
 func (s *Store) closeCurrentLocked() error {
-	if s.cur == nil {
+	if s.curGz == nil {
 		return nil
 	}
 	if err := s.curGz.Close(); err != nil {
@@ -106,7 +131,7 @@ func (s *Store) closeCurrentLocked() error {
 		return err
 	}
 	err := s.curFile.Close()
-	s.cur, s.curGz, s.curFile = nil, nil, nil
+	s.curGz, s.curFile = nil, nil
 	return err
 }
 

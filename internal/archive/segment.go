@@ -80,27 +80,56 @@ func CreateSegment(path string) (*SegmentWriter, error) {
 // Append writes one record frame. The payload is copied to the OS before
 // Append returns, but only Sync/Close force it to stable storage.
 func (w *SegmentWriter) Append(payload []byte) error {
+	if err := checkPayload(payload); err != nil {
+		return err
+	}
+	_, err := w.appendFrames([][]byte{payload})
+	return err
+}
+
+// checkPayload rejects a record the frame format cannot carry.
+func checkPayload(payload []byte) error {
 	if len(payload) == 0 {
 		return errors.New("archive: empty segment record")
 	}
 	if len(payload) > MaxSegmentRecord {
 		return fmt.Errorf("archive: segment record of %d bytes exceeds max %d", len(payload), MaxSegmentRecord)
 	}
+	return nil
+}
+
+// appendFrames frames every payload (each one passed checkPayload) into
+// the reused frame buffer and hands them to the OS in one write(2). It
+// returns how many frames the file holds complete: on a short write, the
+// ones that fit before it stopped.
+func (w *SegmentWriter) appendFrames(payloads [][]byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return errors.New("archive: segment closed")
+		return 0, errors.New("archive: segment closed")
 	}
-	frame := binary.BigEndian.AppendUint32(w.frame[:0], uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(payload, crcTable))
+	frame := w.frame[:0]
+	for _, p := range payloads {
+		frame = binary.BigEndian.AppendUint32(frame, uint32(len(p)))
+		frame = append(frame, p...)
+		frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(p, crcTable))
+	}
 	w.frame = frame
-	if _, err := w.f.Write(frame); err != nil {
-		return fmt.Errorf("archive: %w", err)
+	wrote, err := w.f.Write(frame)
+	n := 0
+	for _, p := range payloads {
+		if wrote < 8+len(p) {
+			break
+		}
+		wrote -= 8 + len(p)
+		w.records++
+		w.crc = crc32.Update(w.crc, crcTable, p)
+		n++
 	}
-	w.records++
-	w.crc = crc32.Update(w.crc, crcTable, payload)
-	return nil
+	if err != nil {
+		return n, fmt.Errorf("archive: %w", err)
+	}
+	return n, nil
 }
 
 // Records returns the number of frames appended.
@@ -434,7 +463,9 @@ func repairSegment(f *os.File, good int64, count, crc uint32, stats *RecoverStat
 
 // Journal is a rotating crash-safe segment store for MRT records: the
 // write-ahead half of the archive. Records are framed with CRCs and reach
-// the OS before Append returns. A rotation writes the old segment's
+// the OS before Append or AppendBatch returns, one write(2) per call and
+// segment touched — a crash mid-write tears a batch the way it tears a
+// record: a torn tail, cut by recovery. A rotation writes the old segment's
 // trailer and opens the next segment under the journal lock; the old
 // file's fsync and close happen on a background sealer, so an append never
 // waits for the disk. What a crash can tear is therefore the open segment
@@ -454,18 +485,25 @@ type Journal struct {
 	// other goroutines proceed) but must not call back into the Journal.
 	OnSeal func(path string)
 
-	// Registry, when set before the first Append, receives the
-	// archive.seal_ns histogram (a rotating Append, OnSeal included, as its
-	// caller sees it) and archive.wal.fsync_ns (one background fsync+close).
+	// Registry, when set before the first Append, receives the histograms
+	// archive.wal.append_ns (one append call, rotation and OnSeal included),
+	// archive.wal.batch_records (records per append call), archive.seal_ns
+	// (an append call that rotated, as its caller sees it) and
+	// archive.wal.fsync_ns (one background fsync+close), and the counter
+	// archive.wal.fsync_errors (background fsync/close failures, counted
+	// when they happen; Sync and Close still return the first one).
 	Registry *metrics.Registry
 
-	mu      sync.Mutex
-	seg     *SegmentWriter
-	segPath string
-	seq     int
-	buf     []byte
-	sealNS  *metrics.Histogram
-	fsyncNS *metrics.Histogram
+	mu        sync.Mutex
+	seg       *SegmentWriter
+	segPath   string
+	seq       int
+	buf       []byte // Append's encode buffer
+	appendNS  *metrics.Histogram
+	batchRecs *metrics.Histogram
+	sealNS    *metrics.Histogram
+	fsyncNS   *metrics.Histogram
+	fsyncErrs *metrics.Counter
 
 	// The background sealer: unsynced holds the rotated-out files still
 	// owed an fsync+close, oldest first; one goroutine drains it and exits
@@ -529,39 +567,108 @@ func ListSegments(dir string) ([]string, error) {
 	return journalSegments(dir)
 }
 
-// Append journals one MRT record. It is usable directly as a daemon
-// RecordSink or pipeline ArchiveStage Sink.
+// Append journals one MRT record: a one-record AppendBatch.
 func (j *Journal) Append(rec *mrt.Record) error {
 	j.mu.Lock()
-	if j.seg == nil || j.seg.Records() < j.rotate {
-		err := j.appendLocked(rec)
+	buf, err := mrt.AppendRecord(j.buf[:0], rec)
+	if err != nil {
 		j.mu.Unlock()
 		return err
 	}
-	start := time.Now()
-	sealed, err := j.rotateLocked()
-	if err == nil {
-		err = j.appendLocked(rec)
-	}
-	sealNS := j.sealNS
-	j.mu.Unlock()
-	if sealed != "" && j.OnSeal != nil {
-		j.OnSeal(sealed)
-	}
-	if sealNS != nil {
-		sealNS.Observe(uint64(time.Since(start)))
-	}
+	j.buf = buf
+	_, err = j.appendBatchLocked([][]byte{buf})
 	return err
+}
+
+// AppendBatch journals encoded MRT records, in order, and returns how many
+// it journaled; fewer than len(recs) comes with the error that stopped it.
+// Each record is framed into the open segment's reused buffer, and the
+// frames bound for one segment reach the OS in a single write(2) before
+// AppendBatch returns — a batch that crosses the rotation point is split
+// there, and OnSeal runs for every segment it sealed, in order, before
+// AppendBatch returns. It is usable directly as a daemon RecordSink or
+// pipeline ArchiveStage Sink.
+func (j *Journal) AppendBatch(recs [][]byte) (int, error) {
+	j.mu.Lock()
+	return j.appendBatchLocked(recs)
+}
+
+// appendBatchLocked is AppendBatch with j.mu held; it releases j.mu before
+// running OnSeal.
+func (j *Journal) appendBatchLocked(recs [][]byte) (int, error) {
+	var start time.Time
+	if j.Registry != nil {
+		start = time.Now()
+		if j.appendNS == nil {
+			buckets := metrics.ExpBuckets(1000, 4, 14) // 1 µs … 67 s
+			j.appendNS = j.Registry.Histogram("archive.wal.append_ns", buckets)
+			j.batchRecs = j.Registry.Histogram("archive.wal.batch_records", metrics.ExpBuckets(1, 2, 14))
+			j.sealNS = j.Registry.Histogram("archive.seal_ns", buckets)
+			j.fsyncNS = j.Registry.Histogram("archive.wal.fsync_ns", buckets)
+			j.fsyncErrs = j.Registry.Counter("archive.wal.fsync_errors")
+		}
+	}
+	valid := len(recs)
+	var err error
+	for i, rec := range recs {
+		if err = checkPayload(rec); err != nil {
+			valid = i
+			break
+		}
+	}
+	var sealedBuf [1]string
+	sealed := sealedBuf[:0]
+	n := 0
+	for n < valid {
+		if j.seg != nil && j.seg.Records() >= j.rotate {
+			path, rerr := j.rotateLocked()
+			if path != "" {
+				sealed = append(sealed, path)
+			}
+			if rerr != nil {
+				err = rerr
+				break
+			}
+		}
+		if j.seg == nil {
+			path := filepath.Join(j.dir, fmt.Sprintf("wal-%08d.seg", j.seq))
+			seg, cerr := CreateSegment(path)
+			if cerr != nil {
+				err = cerr
+				break
+			}
+			j.seg, j.segPath = seg, path
+			j.seq++
+		}
+		k := min(valid-n, int(j.rotate-j.seg.Records()))
+		wrote, werr := j.seg.appendFrames(recs[n : n+k])
+		n += wrote
+		if werr != nil {
+			err = werr
+			break
+		}
+	}
+	appendNS, batchRecs, sealNS := j.appendNS, j.batchRecs, j.sealNS
+	j.mu.Unlock()
+	if j.OnSeal != nil {
+		for _, path := range sealed {
+			j.OnSeal(path)
+		}
+	}
+	if appendNS != nil {
+		took := uint64(time.Since(start))
+		appendNS.Observe(took)
+		batchRecs.Observe(uint64(len(recs)))
+		if len(sealed) > 0 {
+			sealNS.Observe(took)
+		}
+	}
+	return n, err
 }
 
 // rotateLocked completes the open segment (trailer) and hands its file to
 // the background sealer. It returns the completed segment's path.
 func (j *Journal) rotateLocked() (string, error) {
-	if j.sealNS == nil && j.Registry != nil {
-		buckets := metrics.ExpBuckets(1000, 4, 14) // 1 µs … 67 s
-		j.sealNS = j.Registry.Histogram("archive.seal_ns", buckets)
-		j.fsyncNS = j.Registry.Histogram("archive.wal.fsync_ns", buckets)
-	}
 	f, err := j.seg.seal()
 	j.seg = nil
 	if err != nil {
@@ -571,7 +678,7 @@ func (j *Journal) rotateLocked() (string, error) {
 	j.unsynced = append(j.unsynced, f)
 	if !j.sealing {
 		j.sealing = true
-		go j.sealLoop(j.fsyncNS)
+		go j.sealLoop(j.fsyncNS, j.fsyncErrs)
 	}
 	j.sealMu.Unlock()
 	return j.segPath, nil
@@ -579,7 +686,7 @@ func (j *Journal) rotateLocked() (string, error) {
 
 // sealLoop makes the rotated-out segments durable, oldest first, and
 // exits once none is pending.
-func (j *Journal) sealLoop(fsyncNS *metrics.Histogram) {
+func (j *Journal) sealLoop(fsyncNS *metrics.Histogram, fsyncErrs *metrics.Counter) {
 	j.sealMu.Lock()
 	for len(j.unsynced) > 0 {
 		f := j.unsynced[0]
@@ -588,6 +695,9 @@ func (j *Journal) sealLoop(fsyncNS *metrics.Histogram) {
 		err := syncClose(f)
 		if fsyncNS != nil {
 			fsyncNS.Observe(uint64(time.Since(start)))
+			if err != nil {
+				fsyncErrs.Inc()
+			}
 		}
 		j.sealMu.Lock()
 		j.unsynced[0] = nil
@@ -612,24 +722,6 @@ func (j *Journal) waitSealed() error {
 	err := j.sealErr
 	j.sealErr = nil
 	return err
-}
-
-func (j *Journal) appendLocked(rec *mrt.Record) error {
-	if j.seg == nil {
-		path := filepath.Join(j.dir, fmt.Sprintf("wal-%08d.seg", j.seq))
-		seg, err := CreateSegment(path)
-		if err != nil {
-			return err
-		}
-		j.seg, j.segPath = seg, path
-		j.seq++
-	}
-	buf, err := mrt.AppendRecord(j.buf[:0], rec)
-	if err != nil {
-		return err
-	}
-	j.buf = buf
-	return j.seg.Append(buf)
 }
 
 // Sync is the durability barrier: it returns once every rotated-out

@@ -50,9 +50,11 @@ type Config struct {
 	Filters *filter.Set
 	// Out receives the MRT update archive; nil discards.
 	Out io.Writer
-	// RecordSink, when set, receives every archived MRT record (e.g. an
-	// archive.Store's Append); it runs in addition to Out.
-	RecordSink func(*mrt.Record) error
+	// RecordSink, when set, receives the archived MRT records, encoded, one
+	// call per pipeline batch (e.g. an archive.Journal's AppendBatch), and
+	// returns how many it stored; it runs in addition to Out. See
+	// pipeline.ArchiveStage.Sink.
+	RecordSink func(recs [][]byte) (int, error)
 	// QueueSize bounds the total ingest queue between the BGP readers
 	// and the pipeline workers; overflowing updates are lost (default
 	// 4096, split across Shards).

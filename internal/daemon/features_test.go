@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"bytes"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -137,14 +139,22 @@ func TestDaemonPublishTee(t *testing.T) {
 
 func TestDaemonRecordSink(t *testing.T) {
 	var mu sync.Mutex
-	var recs int
+	var prefixes []string
 	d := New(Config{
 		LocalAS: 65000,
-		RecordSink: func(r *mrt.Record) error {
+		RecordSink: func(batch [][]byte) (int, error) {
 			mu.Lock()
-			recs++
-			mu.Unlock()
-			return nil
+			defer mu.Unlock()
+			for _, b := range batch {
+				rec, err := mrt.NewReader(bytes.NewReader(b)).ReadRecord()
+				if err != nil {
+					return 0, err
+				}
+				for _, u := range rec.CanonicalUpdates() {
+					prefixes = append(prefixes, u.Prefix.String())
+				}
+			}
+			return len(batch), nil
 		},
 	})
 	defer d.Close()
@@ -154,7 +164,8 @@ func TestDaemonRecordSink(t *testing.T) {
 	waitFor(t, func() bool { return d.Stats().Written >= 2 })
 	mu.Lock()
 	defer mu.Unlock()
-	if recs != 2 {
-		t.Errorf("record sink saw %d records, want 2", recs)
+	slices.Sort(prefixes)
+	if want := []string{"198.51.100.0/24", "203.0.113.0/24"}; !slices.Equal(prefixes, want) {
+		t.Errorf("record sink saw prefixes %v, want %v", prefixes, want)
 	}
 }

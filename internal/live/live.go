@@ -23,10 +23,12 @@ type Message struct {
 	Path        []uint32 `json:"path,omitempty"`
 	Communities []uint32 `json:"communities,omitempty"`
 	Withdraw    bool     `json:"withdraw,omitempty"`
-	// Seq is the stream hub's publish sequence number (1-based; 0 on
-	// query responses, which are not published). A sequence belongs to
-	// one hub: stream.Tail uses it to deliver each update at most once,
-	// and to recognise a restarted collector by its sequence starting over.
+	// Seq is the stream hub's id for the event (1-based; 0 on query
+	// responses, which are not published). It is unique within one hub and
+	// restarts at 1 with the collector, but it is not an order: the hub's
+	// concurrent publishers take ids and enqueue independently, so id N+1
+	// can arrive before N. A gap in the ids a subscriber sees is therefore
+	// no proof of loss, and the ids are not a deduplication key.
 	Seq uint64 `json:"seq,omitempty"`
 	// TraceID is the distributed trace ID (16 hex digits) of a sampled
 	// update, empty for the unsampled majority. Consumers can join it
@@ -34,28 +36,19 @@ type Message struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// ToMessage converts a canonical update.
+// ToMessage converts a canonical update. Path and Communities alias u's
+// slices (shared read-only).
 func ToMessage(u *update.Update) *Message {
-	m := &Message{}
-	m.Fill(u)
-	return m
-}
-
-// Fill populates m from u in place, overwriting every field. Path and
-// Communities alias u's slices (shared read-only), so a filled Message
-// allocates only the prefix and trace-ID strings. Publishers that embed
-// the Message in a larger envelope use Fill to skip the separate
-// allocation ToMessage would make.
-func (m *Message) Fill(u *update.Update) {
-	m.Type = "UPDATE"
-	m.VP = u.VP
-	m.Timestamp = u.Time.Unix()
-	m.Prefix = u.Prefix.String()
-	m.Path = u.Path
-	m.Communities = u.Comms
-	m.Withdraw = u.Withdraw
-	m.Seq = 0
-	m.TraceID = telemetry.SpanID(u.TraceID).String()
+	return &Message{
+		Type:        "UPDATE",
+		VP:          u.VP,
+		Timestamp:   u.Time.Unix(),
+		Prefix:      u.Prefix.String(),
+		Path:        u.Path,
+		Communities: u.Comms,
+		Withdraw:    u.Withdraw,
+		TraceID:     telemetry.SpanID(u.TraceID).String(),
+	}
 }
 
 // ToUpdate converts a message back to the canonical form.

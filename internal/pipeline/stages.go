@@ -140,20 +140,25 @@ func (s *LiveStage) Process(batch []*update.Update) []*update.Update {
 	return batch
 }
 
-// ArchiveStage writes each update as one BGP4MP MRT record. Records are
-// encoded in the shard workers (parallel) and written to the shared
-// destination under one lock per batch, so batching turns N record
-// writes into one synchronous I/O. Out and Sink are both optional; with
-// neither set the stage still counts written updates, mirroring the
-// daemon's historical accounting.
+// ArchiveStage writes each update as one BGP4MP MRT record. A batch is
+// encoded once, in the shard worker (parallel), into one pooled arena, and
+// handed to the shared destinations under one lock: one Write to Out and
+// one call to Sink per batch, both complete before Process returns. Out
+// and Sink are both optional; with neither set the stage encodes nothing
+// and still counts written updates, mirroring the daemon's historical
+// accounting.
 type ArchiveStage struct {
 	// LocalAS and LocalIP identify the collector in BGP4MP headers.
 	LocalAS uint32
 	LocalIP netip.Addr
 	// Out receives the raw MRT byte stream (e.g. a gzip writer).
 	Out io.Writer
-	// Sink receives each record (e.g. an archive.Store's Append).
-	Sink func(*mrt.Record) error
+	// Sink receives the batch's encoded records, in order, once per batch
+	// (e.g. an archive.Journal's AppendBatch) and returns how many of them
+	// it stored; the rest are charged to Failed. The slices alias the
+	// stage's arena and are valid only until Sink returns. It receives only
+	// the records Out accepted.
+	Sink func(recs [][]byte) (int, error)
 	// Peer resolves a VP name to its (AS, IP) identity; nil derives the
 	// AS from the canonical "vp<AS>" name with a placeholder IP.
 	Peer func(vp string) (uint32, netip.Addr)
@@ -194,105 +199,116 @@ func (s *ArchiveStage) Flush() error {
 }
 
 // archScratch is the pooled per-batch encode arena: the whole batch's
-// wire bytes in one buffer, per-record end offsets slicing it back apart,
-// and the record list. Records themselves are still allocated fresh —
-// Sink may retain them — but the encode path reuses everything else.
+// wire bytes in one buffer, per-record end offsets slicing it back apart
+// into recs, and one record — MRT envelope, BGP message, prefix and
+// communities — refilled for every update, so a warm batch encodes
+// without allocating.
 type archScratch struct {
 	wire []byte
 	ends []int
-	recs []*mrt.Record
+	recs [][]byte
+
+	rec    mrt.Record
+	bgp4mp mrt.BGP4MPMessage
+	msg    bgp.Update
+	prefix [1]netip.Prefix
+	comms  []bgp.Community
 }
 
 var archPool = sync.Pool{New: func() any { return new(archScratch) }}
 
 // Process implements Stage.
 func (s *ArchiveStage) Process(batch []*update.Update) []*update.Update {
-	encode := s.Out != nil
 	sc := archPool.Get().(*archScratch)
 	wire, ends, recs := sc.wire[:0], sc.ends[:0], sc.recs[:0]
-	for _, u := range batch {
-		rec := s.record(u)
-		if encode {
+	ok := len(batch) // updates still on their way to Written
+	if s.Out != nil || s.Sink != nil {
+		for _, u := range batch {
 			var err error
-			wire, err = mrt.AppendRecord(wire, rec)
-			if err != nil {
-				s.failed.Add(1)
-				continue
+			if wire, err = mrt.AppendRecord(wire, sc.fill(s, u)); err == nil {
+				ends = append(ends, len(wire))
 			}
 		}
-		ends = append(ends, len(wire))
-		recs = append(recs, rec)
+		sc.msg.ASPath = nil // don't let the pool pin the last update's path
+		prev := 0
+		for _, end := range ends {
+			recs = append(recs, wire[prev:end])
+			prev = end
+		}
+		ok = len(recs)
 	}
-	if s.WriteDelay > 0 && len(recs) > 0 {
+	if s.WriteDelay > 0 && ok > 0 {
 		time.Sleep(s.WriteDelay)
 	}
-	s.mu.Lock()
-	prev := 0
-	for i, rec := range recs {
+	if len(recs) > 0 {
+		s.mu.Lock()
 		if s.Out != nil {
-			end := ends[i]
-			_, err := s.Out.Write(wire[prev:end])
-			prev = end
-			if err != nil {
-				s.failed.Add(1)
-				continue
+			// A short write keeps the records it completed.
+			if n, err := s.Out.Write(wire); err != nil {
+				ok = 0
+				for ok < len(ends) && ends[ok] <= n {
+					ok++
+				}
 			}
 		}
-		if s.Sink != nil {
-			if err := s.Sink(rec); err != nil {
-				s.failed.Add(1)
-				continue
-			}
+		if s.Sink != nil && ok > 0 {
+			n, _ := s.Sink(recs[:ok])
+			ok = max(0, min(n, ok))
 		}
-		s.written.Add(1)
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-	clear(recs) // don't let the pool pin records the sink may retain
+	s.written.Add(uint64(ok))
+	s.failed.Add(uint64(len(batch) - ok))
 	sc.wire, sc.ends, sc.recs = wire, ends, recs
 	archPool.Put(sc)
 	return batch
 }
 
-// record rebuilds the per-prefix BGP message and wraps it in a BGP4MP
-// header stamped with the update's own timestamp.
-func (s *ArchiveStage) record(u *update.Update) *mrt.Record {
+// fill rebuilds u's per-prefix BGP message in the scratch record and wraps
+// it in a BGP4MP header stamped with the update's own timestamp.
+func (sc *archScratch) fill(s *ArchiveStage, u *update.Update) *mrt.Record {
 	peerAS, peerIP := s.resolvePeer(u.VP)
-	msg := &bgp.Update{}
+	sc.prefix[0] = u.Prefix
+	msg := &sc.msg
+	*msg = bgp.Update{}
 	v6 := u.Prefix.Addr().Is6()
-	if u.Withdraw {
-		if v6 {
-			msg.V6Withdrawn = []netip.Prefix{u.Prefix}
-		} else {
-			msg.Withdrawn = []netip.Prefix{u.Prefix}
-		}
-	} else {
+	switch {
+	case u.Withdraw && v6:
+		msg.V6Withdrawn = sc.prefix[:]
+	case u.Withdraw:
+		msg.Withdrawn = sc.prefix[:]
+	default:
 		msg.Origin = bgp.OriginIGP
 		msg.ASPath = u.Path
+		sc.comms = sc.comms[:0]
 		for _, c := range u.Comms {
-			msg.Communities = append(msg.Communities, bgp.Community(c))
+			sc.comms = append(sc.comms, bgp.Community(c))
 		}
+		msg.Communities = sc.comms
 		if v6 {
-			msg.V6NLRI = []netip.Prefix{u.Prefix}
+			msg.V6NLRI = sc.prefix[:]
 			msg.V6NextHop = v6AddrOr(peerIP)
 		} else {
-			msg.NLRI = []netip.Prefix{u.Prefix}
+			msg.NLRI = sc.prefix[:]
 			msg.NextHop = v4AddrOr(peerIP)
 		}
 	}
-	return &mrt.Record{
+	sc.bgp4mp = mrt.BGP4MPMessage{
+		PeerAS:  peerAS,
+		LocalAS: s.LocalAS,
+		PeerIP:  peerIP,
+		LocalIP: v4AddrOr(s.LocalIP),
+		Message: msg,
+	}
+	sc.rec = mrt.Record{
 		Header: mrt.Header{
 			Timestamp: u.Time,
 			Type:      mrt.TypeBGP4MP,
 			Subtype:   mrt.SubtypeBGP4MPMessageAS4,
 		},
-		BGP4MP: &mrt.BGP4MPMessage{
-			PeerAS:  peerAS,
-			LocalAS: s.LocalAS,
-			PeerIP:  peerIP,
-			LocalIP: v4AddrOr(s.LocalIP),
-			Message: msg,
-		},
+		BGP4MP: &sc.bgp4mp,
 	}
+	return &sc.rec
 }
 
 func (s *ArchiveStage) resolvePeer(vp string) (uint32, netip.Addr) {
@@ -313,11 +329,13 @@ func v4AddrOr(a netip.Addr) netip.Addr {
 	return netip.AddrFrom4([4]byte{192, 0, 2, 1})
 }
 
+var v6Placeholder = netip.MustParseAddr("2001:db8::1")
+
 func v6AddrOr(a netip.Addr) netip.Addr {
 	if a.IsValid() && a.Is6() && !a.Is4In6() {
 		return a
 	}
-	return netip.MustParseAddr("2001:db8::1")
+	return v6Placeholder
 }
 
 // CounterStage feeds a metrics registry with the retained update mix; it

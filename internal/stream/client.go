@@ -139,9 +139,11 @@ type TailConfig struct {
 // Every update the hub sends reaches handler, in arrival order, and none
 // twice: a hub never replays — a subscription only sees what is published
 // after it — so there is nothing to deduplicate, within a connection or
-// across a reconnect. Updates published while disconnected are missed
-// (Seq shows the gap; it restarts at 1 with the collector and concurrent
-// publishers may interleave it, so it is not a filter key).
+// across a reconnect. Updates published while disconnected are missed,
+// and Seq does not count them: it is a per-hub id, taken only while the
+// hub has a subscriber, restarted at 1 with the collector and interleaved
+// by concurrent publishers, so it is neither a gap detector nor a filter
+// key.
 //
 // Tail returns nil when ctx ends, ErrStopped (wrapping the cause) when
 // handler returns an error, or the last transport error once the restart

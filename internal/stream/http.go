@@ -92,24 +92,26 @@ func (h *Hub) StreamHandler() http.Handler {
 		sub := h.Subscribe(opts)
 		defer sub.Close()
 
-		// write pushes one line under the per-write deadline and flushes
-		// the error instead of swallowing it. Any failure — deadline
-		// exceeded, connection reset, flush error — means the subscriber
-		// is dead: the caller must unsubscribe and return immediately, so
-		// a client that vanished without closing cannot pin this goroutine
-		// (and its subscriber slot) on a full socket buffer.
-		write := func(line []byte, flush bool) error {
+		// writeRun pushes lines under one write deadline, then flushes,
+		// and returns the error instead of swallowing it. Any failure —
+		// deadline exceeded, connection reset, flush error — means the
+		// subscriber is dead: the caller must unsubscribe and return
+		// immediately, so a client that vanished without closing cannot
+		// pin this goroutine (and its subscriber slot) on a full socket
+		// buffer. A run is bounded by the subscriber queue, so one deadline
+		// covers it.
+		writeRun := func(lines ...[]byte) error {
 			if err := rc.SetWriteDeadline(h.cfg.Clock().Add(h.cfg.WriteTimeout)); err != nil &&
 				!errors.Is(err, http.ErrNotSupported) {
 				return err
 			}
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
-			if flush {
-				if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+			for _, line := range lines {
+				if _, err := w.Write(line); err != nil {
 					return err
 				}
+			}
+			if err := rc.Flush(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+				return err
 			}
 			return nil
 		}
@@ -118,7 +120,7 @@ func (h *Hub) StreamHandler() http.Handler {
 		w.Header().Set("Cache-Control", "no-store")
 		w.WriteHeader(http.StatusOK)
 		hello, _ := json.Marshal(map[string]string{"type": "hello", "filter": f.String()})
-		if err := write(append(hello, '\n'), true); err != nil {
+		if err := writeRun(append(hello, '\n')); err != nil {
 			return
 		}
 
@@ -128,6 +130,7 @@ func (h *Hub) StreamHandler() http.Handler {
 		defer keepalive.Stop()
 		idle := true
 		ctx := r.Context()
+		var run [][]byte
 		for {
 			select {
 			case ev, ok := <-sub.C():
@@ -136,14 +139,20 @@ func (h *Hub) StreamHandler() http.Handler {
 					case <-sub.Evicted():
 						// Tell the client why the stream ended; best effort.
 						note, _ := json.Marshal(map[string]any{"type": "evicted", "seq": h.seq.Load()})
-						_ = write(append(note, '\n'), true)
+						_ = writeRun(append(note, '\n'))
 					default:
 					}
 					return
 				}
-				// Batch flushes: only flush once the queue is drained, so a
-				// burst costs one syscall, not one per message.
-				if err := write(ev.JSON, len(sub.C()) == 0); err != nil {
+				// The lines already queued behind ev go out in the same run:
+				// a burst costs one deadline and one flush, not one per line.
+				run = append(run[:0], ev.JSON)
+				for n := len(sub.C()); n > 0; n-- {
+					run = append(run, (<-sub.C()).JSON)
+				}
+				err := writeRun(run...)
+				clear(run) // don't pin delivered lines until the next run
+				if err != nil {
 					return
 				}
 				idle = false
@@ -153,7 +162,7 @@ func (h *Hub) StreamHandler() http.Handler {
 					continue
 				}
 				note, _ := json.Marshal(map[string]string{"type": "keepalive"})
-				if err := write(append(note, '\n'), true); err != nil {
+				if err := writeRun(append(note, '\n')); err != nil {
 					return
 				}
 			case <-ctx.Done():

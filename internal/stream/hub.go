@@ -1,33 +1,39 @@
 package stream
 
 // The fan-out hub. One Publish must serve 100K subscribers without the
-// collection path ever noticing them, which forces three structural
+// collection path ever noticing them, which forces four structural
 // decisions:
 //
-//   - Encode once. A published update is converted to a live.Message and
-//     marshaled to JSON exactly once; every subscriber shares the same
-//     *Event (and the same lazily rendered AS-path string for regex
-//     filters). Delivery is a channel send of one pointer.
+//   - Encode once, and only for someone. A published update is rendered
+//     to its live.Message NDJSON line exactly once, by a hand-written
+//     appender (line.go); every subscriber shares the same *Event (and the
+//     same lazily rendered AS-path string for regex filters). Delivery is
+//     a channel send of one pointer. With no subscriber at all, Publish
+//     counts the update and returns without encoding or locking.
 //   - Shard the subscriber set. Subscribers are assigned round-robin to a
 //     fixed set of shards, each with its own lock, delivery goroutine, and
-//     bounded inbox. Publish enqueues one pointer per shard and returns;
-//     matching and delivery happen on the shard goroutines, so a large or
-//     contended subscriber set adds no latency to the publisher.
+//     bounded inbox. Publish enqueues one pointer per shard that has a
+//     subscriber and returns; matching and delivery happen on the shard
+//     goroutines, so a large or contended subscriber set adds no latency
+//     to the publisher.
+//   - Seq is an id, not an order. Publish takes the next seq atomically
+//     and then enqueues, so with concurrent publishers (the daemon's shard
+//     workers) seq N+1 can reach a subscriber before N. Each seq is unique
+//     within one hub and restarts at 1 with it; events from one publishing
+//     goroutine reach a subscriber in that goroutine's publish order.
 //   - Never block, never wait. A full shard inbox drops the event for
 //     that shard (counted), a full subscriber queue evicts the subscriber
 //     (counted), a rate-limited subscriber skips the message (counted).
 //     Every failure mode is a counter, not a stall.
 
 import (
-	"bytes"
-	"encoding/json"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/live"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 	"repro/internal/update"
@@ -98,42 +104,32 @@ func (c Config) withDefaults() Config {
 }
 
 // Event is one published update, shared read-only by every subscriber.
+// Events are never pooled — subscribers hold them for as long as they like.
 type Event struct {
-	// Seq is the hub's publish sequence (1-based), also stamped into Msg.
+	// Seq is the event's hub-wide id (1-based, unique within the hub, not
+	// ordered across concurrent publishers), also stamped into JSON.
 	Seq uint64
 	// At is the publish time (the hub clock), used for rate-limit refill
 	// and delivery-latency accounting.
 	At time.Time
 	// U is the canonical update, for in-process consumers and filters.
 	U *update.Update
-	// Msg is the wire message; JSON is its one shared encoding, a ready
-	// NDJSON line with trailing newline (shared read-only — writers must
-	// not append to it).
-	Msg  *live.Message
+	// JSON is the event's one shared encoding: the live.Message NDJSON
+	// line with trailing newline (shared read-only — writers must not
+	// append to it).
 	JSON []byte
 
-	// msg is Msg's backing store: embedding it in the event folds the
-	// envelope and the message into one allocation. Events themselves are
-	// never pooled — subscribers hold them for as long as they like.
-	msg live.Message
+	// line is JSON's backing store when the line fits, which folds the
+	// event and its encoding into one allocation.
+	line [lineSize]byte
 
 	pathOnce sync.Once
 	pathStr  string
 }
 
-// jsonScratch pairs a reusable encode buffer with an encoder bound to it;
-// Encoder.Encode writes the trailing newline natively, so the encoded
-// bytes are a ready NDJSON line copied once, exact-size, into the event.
-type jsonScratch struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonPool = sync.Pool{New: func() any {
-	s := &jsonScratch{}
-	s.enc = json.NewEncoder(&s.buf)
-	return s
-}}
+// lineSize fits a typical UPDATE line (~170 bytes with a four-hop path,
+// two communities and a trace ID); a longer one is appended to the heap.
+const lineSize = 256
 
 // PathString returns the space-joined AS path, rendered at most once per
 // event no matter how many regex filters consult it.
@@ -191,7 +187,8 @@ type Subscriber struct {
 }
 
 // C is the subscriber's event stream. It is closed when the subscription
-// ends; events arrive in publish order.
+// ends. Events from one publishing goroutine arrive in its publish order;
+// those of concurrent publishers interleave, so Seq is an id, not an order.
 func (s *Subscriber) C() <-chan *Event { return s.ch }
 
 // Evicted is closed if the hub evicted the subscriber for being too slow
@@ -222,6 +219,7 @@ func (s *Subscriber) dropLocked(evicted bool) {
 	}
 	s.gone = true
 	delete(s.shard.subs, s)
+	s.shard.nsub.Store(int32(len(s.shard.subs)))
 	close(s.ch)
 	if evicted {
 		close(s.evicted)
@@ -233,6 +231,7 @@ type shard struct {
 	in   chan *Event
 	mu   sync.Mutex
 	subs map[*Subscriber]struct{}
+	nsub atomic.Int32 // len(subs), stored under mu, read by Publish
 }
 
 // Hub fans published updates out to subscribers.
@@ -244,7 +243,7 @@ type Hub struct {
 	nsub atomic.Int64
 
 	mu     sync.RWMutex // publish/Subscribe (R) vs Close (W)
-	closed bool
+	closed atomic.Bool  // stored under mu (W); Publish's idle path reads it bare
 	shards []*shard
 	wg     sync.WaitGroup
 
@@ -316,13 +315,14 @@ func (h *Hub) Subscribe(opts SubOptions) *Subscriber {
 	defer h.mu.RUnlock()
 	sh := h.shards[h.next.Add(1)%uint64(len(h.shards))]
 	sub.shard = sh
-	if h.closed {
+	if h.closed.Load() {
 		close(sub.ch)
 		sub.gone = true
 		return sub
 	}
 	sh.mu.Lock()
 	sh.subs[sub] = struct{}{}
+	sh.nsub.Store(int32(len(sh.subs)))
 	sh.mu.Unlock()
 	h.nsub.Add(1)
 	h.cfg.Log.With("stream").Debug("subscriber attached",
@@ -330,30 +330,30 @@ func (h *Hub) Subscribe(opts SubOptions) *Subscriber {
 	return sub
 }
 
-// Publish fans one update out to every shard. It never blocks: a shard
-// whose inbox is full misses the event (counted as publish_overflow).
+// Publish fans one update out to every shard that has a subscriber. It
+// never blocks: a shard whose inbox is full misses the event (counted as
+// publish_overflow). With no subscriber at all it only counts the update:
+// no seq is taken, nothing is encoded.
 func (h *Hub) Publish(u *update.Update) {
+	if h.nsub.Load() == 0 {
+		if !h.closed.Load() {
+			h.published.Inc()
+		}
+		return
+	}
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	if h.closed {
+	if h.closed.Load() {
 		return
 	}
 	seq := h.seq.Add(1)
 	ev := &Event{Seq: seq, At: h.cfg.Clock(), U: u}
-	ev.msg.Fill(u)
-	ev.msg.Seq = seq
-	ev.Msg = &ev.msg
-	sc := jsonPool.Get().(*jsonScratch)
-	sc.buf.Reset()
-	if err := sc.enc.Encode(&ev.msg); err != nil {
-		jsonPool.Put(sc)
-		return
-	}
-	ev.JSON = make([]byte, sc.buf.Len())
-	copy(ev.JSON, sc.buf.Bytes())
-	jsonPool.Put(sc)
+	ev.JSON = slices.Clip(appendEventJSON(ev.line[:0], u, seq)) // an append copies
 	h.published.Inc()
 	for _, sh := range h.shards {
+		if sh.nsub.Load() == 0 {
+			continue
+		}
 		select {
 		case sh.in <- ev:
 		default:
@@ -420,11 +420,11 @@ func (sh *shard) run() {
 // exit, every subscriber channel is closed. Safe to call once.
 func (h *Hub) Close() {
 	h.mu.Lock()
-	if h.closed {
+	if h.closed.Load() {
 		h.mu.Unlock()
 		return
 	}
-	h.closed = true
+	h.closed.Store(true)
 	for _, sh := range h.shards {
 		close(sh.in)
 	}

@@ -67,8 +67,8 @@ func TestHubFilteredFanout(t *testing.T) {
 
 	got := recvAll(t, all, 3)
 	for i, ev := range got {
-		if ev.Seq != uint64(i+1) || ev.Msg.Seq != uint64(i+1) {
-			t.Fatalf("event %d: seq %d / msg seq %d", i, ev.Seq, ev.Msg.Seq)
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d: seq %d", i, ev.Seq)
 		}
 		if !bytes.HasSuffix(ev.JSON, []byte("\n")) {
 			t.Fatalf("event %d: JSON not newline-terminated", i)
@@ -296,4 +296,58 @@ func TestHubWireGolden(t *testing.T) {
 			t.Errorf("line %d:\n got %s want %s", i, ev.JSON, want[i])
 		}
 	}
+}
+
+// TestConcurrentPublishersSeqIsAnID pins what Seq means: with concurrent
+// publishers — the daemon's shard workers — every event reaches a
+// subscriber exactly once under a seq no other event has, but not in seq
+// order.
+func TestConcurrentPublishersSeqIsAnID(t *testing.T) {
+	const publishers, each = 4, 5000
+	h := NewHub(Config{ShardQueue: publishers * each, MaxQueue: publishers * each})
+	defer h.Close()
+	sub := h.Subscribe(SubOptions{Queue: publishers * each})
+	var wg sync.WaitGroup
+	for p := 0; p < publishers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				h.Publish(upd("vp65001", "203.0.113.0/24", []uint32{65001}, nil, false))
+			}
+		}()
+	}
+	got := recvAll(t, sub, publishers*each)
+	wg.Wait()
+	seen := make([]bool, publishers*each+1)
+	for _, ev := range got {
+		if ev.Seq == 0 || ev.Seq > publishers*each || seen[ev.Seq] {
+			t.Fatalf("seq %d out of range or delivered twice", ev.Seq)
+		}
+		seen[ev.Seq] = true
+	}
+	if h.EvictedSlow() != 0 || h.Published() != publishers*each {
+		t.Fatalf("evicted %d, published %d; want 0 and %d", h.EvictedSlow(), h.Published(), publishers*each)
+	}
+}
+
+// TestPublishAllocations: an idle hub publishes without allocating (and
+// still counts); with a subscriber, an event costs at most two
+// allocations, delivery included.
+func TestPublishAllocations(t *testing.T) {
+	h := NewHub(Config{})
+	defer h.Close()
+	u := upd("vp65001", "203.0.113.0/24", []uint32{65001, 6939, 64999}, []uint32{65001<<16 | 100, 7}, false)
+	u.TraceID = 0xabcdef
+	if a := testing.AllocsPerRun(1000, func() { h.Publish(u) }); a != 0 {
+		t.Fatalf("Publish with no subscriber: %.1f allocations, want 0", a)
+	}
+	if h.Published() != 1001 {
+		t.Fatalf("Published = %d, want 1001", h.Published())
+	}
+	sub := h.Subscribe(SubOptions{Queue: 4096})
+	if a := testing.AllocsPerRun(1000, func() { h.Publish(u) }); a > 2 {
+		t.Fatalf("Publish with one subscriber: %.1f allocations, want ≤ 2", a)
+	}
+	recvAll(t, sub, 1001)
 }

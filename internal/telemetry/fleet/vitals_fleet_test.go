@@ -127,10 +127,23 @@ func TestFleetVitalsIncidentEndToEnd(t *testing.T) {
 	for _, id := range []string{"c1", "c2", "c3"} {
 		members = append(members, startVitalsMember(t, id, ln.Addr().String(), clock))
 	}
+	// Wait for the settled assignment — every member joined, and each
+	// agent holding what the coordinator says it owns — not just for three
+	// VPs to be held: an early joiner holds them all until the rest arrive.
+	assigned := fleet.AssignmentsFromStatus(coord.Status)
 	waitObs(t, "fleet assignment", func() bool {
+		want := assigned()
+		if len(coord.Status().Collectors) != len(members) || len(want) != len(vps) {
+			return false
+		}
 		total := 0
 		for _, m := range members {
-			total += len(m.agent.Shard())
+			for _, vp := range m.agent.Shard() {
+				if want[vp] != m.id {
+					return false
+				}
+				total++
+			}
 		}
 		return total == len(vps)
 	})

@@ -134,7 +134,10 @@ for series in \
 	index_follower_lag_segments \
 	index_add_segment_ns_count \
 	archive_seal_ns_count \
-	archive_wal_fsync_ns_count; do
+	archive_wal_fsync_ns_count \
+	archive_wal_append_ns_count \
+	archive_wal_batch_records_count \
+	archive_wal_fsync_errors; do
 	grep -q "^$series" "$dir/metrics.txt" ||
 		fail "/metrics missing series $series"
 done

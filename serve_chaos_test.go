@@ -60,7 +60,7 @@ func TestServingPlaneUnderChaos(t *testing.T) {
 		LocalAS:    65000,
 		Filters:    qualityFilters(),
 		Out:        io.Discard,
-		RecordSink: wal.Append,
+		RecordSink: wal.AppendBatch,
 		Registry:   reg,
 		Quality:    qp,
 		Publish:    hub.Publish,
