@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-e2e bench-profile bench-pipeline bench-recompute chaos obs-smoke quality-smoke serve-smoke bench-serve fabric-smoke bench-fabric obs-fleet-smoke vitals-smoke bench-codec fuzz-smoke bench-guard loc verify
+.PHONY: all build test race bench-e2e bench-profile bench-pipeline bench-recompute chaos obs-smoke quality-smoke serve-smoke bench-serve fabric-smoke bench-fabric obs-fleet-smoke vitals-smoke bench-codec fuzz-smoke bench-guard census loc verify
 
 all: build
 
@@ -38,7 +38,7 @@ bench-recompute:
 chaos:
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/resilience/
 	$(GO) test -race -count=1 -run 'Fault|Chaos|Kill|Truncat|Flaky|Accept|Idle|Degraded|Reconnect' \
-		./internal/archive/ ./internal/daemon/ ./internal/bmp/ ./internal/stream/
+		./internal/archive/ ./internal/daemon/ ./internal/stream/
 
 # obs-smoke boots a real gill-daemon with -admin on an ephemeral loopback
 # port, curls every operator endpoint (/metrics incl. histogram buckets,
@@ -125,7 +125,7 @@ vitals-smoke:
 
 # bench-codec runs the codec hot-path benchmarks (decode into a reused
 # Update, legacy eager decode, append-encode into a reused buffer, and
-# the full filter → redundancy → archive → counter ingest chain) and
+# the daemon's filter → archive → counter ingest stages) and
 # writes the machine-readable BENCH_codec.json report (throughputs,
 # allocs/op, and the pipeline's own e2e ingest latency p50/p99). The
 # report test also pins the zero-alloc contract: decode into a reused
@@ -142,14 +142,16 @@ bench-codec:
 # seeds plus a short randomized burst: the BGP wire decoder (eager and
 # lazy paths must agree, re-encoding must be a byte-stable fixed point),
 # the MRT record parser, the /stream filter grammar (every accepted
-# filter's String() must parse back to the same filter), and the /stream
-# line appender (byte-identical to encoding/json). Longer campaigns: raise
-# -fuzztime.
+# filter's String() must parse back to the same filter), the /stream
+# line appender (byte-identical to encoding/json), and the index log
+# replay (arbitrary gillidx.json bytes never fail Open/Sync or invent a
+# segment). Longer campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime 5s ./internal/bgp/
 	$(GO) test -run xxx -fuzz FuzzReadRecord -fuzztime 5s ./internal/mrt/
 	$(GO) test -run xxx -fuzz FuzzParseFilter -fuzztime 5s ./internal/stream/
 	$(GO) test -run xxx -fuzz FuzzAppendEventJSON -fuzztime 5s ./internal/stream/
+	$(GO) test -run xxx -fuzz FuzzIndexOpen -fuzztime 5s ./internal/index/
 
 # bench-guard is the perf-trajectory gate: regenerate BENCH_fabric.json,
 # BENCH_serve.json and BENCH_codec.json on this machine and fail if any
@@ -186,6 +188,19 @@ WORKLOAD ?= saturate
 bench-profile:
 	WORKLOAD=$(WORKLOAD) BENCH_SEED=$(BENCH_SEED) GO=$(GO) sh scripts/bench_profile.sh
 
+# census fails, naming each one, when a repro/internal/... package is not
+# among the dependencies of any cmd/ binary: code no binary runs is dead
+# weight, and this keeps it from quietly regrowing. CENSUS_TEST_ONLY names
+# the packages that exist for tests alone (the fault-injection harness).
+CENSUS_TEST_ONLY = repro/internal/faults
+census:
+	@deps="$$($(GO) list -deps ./cmd/...) $(CENSUS_TEST_ONLY)" && pkgs=$$($(GO) list ./internal/...) && \
+	dead=$$(for p in $$pkgs; do echo "$$deps" | tr ' ' '\n' | grep -qxF "$$p" || echo "$$p"; done) && \
+	if [ -n "$$dead" ]; then \
+		echo "census: FAIL: no cmd/ binary reaches:"; echo "$$dead" | sed 's/^/  /'; exit 1; \
+	fi; \
+	echo "census: every internal package is reached from cmd/"
+
 # loc prints the three line counts CHANGES.md reports a PR's LoC delta
 # in: tracked non-test Go and test Go outside bench/ (the benchmark is
 # frozen between PRs), and scripts/*.sh.
@@ -206,12 +221,14 @@ loc:
 # stitched traces, and a live SLO incident), the vitals smoke (per-VP
 # live → silent → live classification against a real daemon plus the
 # offline archive-gap audit), the codec fuzz smoke (no
-# decoder panics, lazy/eager agreement, encode fixed points), and the
+# decoder panics, lazy/eager agreement, encode fixed points), the
+# census (every internal package is reached from a cmd/ binary), and the
 # bench guard (no guarded benchmark metric may regress past the
 # committed baselines; codec allocs/op may not increase at all).
 verify:
 	$(GO) vet ./...
 	$(GO) build ./...
+	$(MAKE) census
 	$(GO) test -race ./...
 	$(MAKE) chaos
 	$(GO) test -run xxx -bench BenchmarkPipeline -benchtime 1x ./...

@@ -12,9 +12,6 @@
 //	filters <file>          distribute a filter file to the fleet
 //	fleet                   print the assignment and lease state
 //	quit
-//
-// The -chaos flag wraps the control listener with the fault injector so
-// operators can rehearse partition and reset handling on a live fleet.
 package main
 
 import (
@@ -30,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -44,7 +40,6 @@ func main() {
 		lease    = flag.Duration("lease", fabric.DefaultLeaseTTL, "collector lease TTL; heartbeats renew at TTL/3, expiry rebalances")
 		vps      = flag.String("vps", "", "comma-separated initial VP universe (e.g. vp65001,vp65002)")
 		filters  = flag.String("filters", "", "filter file to distribute to the fleet at boot")
-		chaos    = flag.String("chaos", "", "fault-injection spec for the control listener (seed=7,reset=0.01,latency=2ms,...)")
 		logLevel = flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
 		federate = flag.Bool("federate", true, "scrape every collector's admin /metrics and serve fleet rollups on /fleet/metrics (requires -admin)")
 		scrapeEv = flag.Duration("scrape-every", fleet.DefaultScrapeInterval, "metrics federation scrape interval")
@@ -94,15 +89,6 @@ func main() {
 	if err != nil {
 		logm.Error("control listen failed", "addr", *listen, "err", err)
 		os.Exit(1)
-	}
-	if *chaos != "" {
-		cfg, err := faults.ParseSpec(*chaos)
-		if err != nil {
-			logm.Error("bad -chaos spec", "err", err)
-			os.Exit(1)
-		}
-		ln = faults.New(cfg).Listener(ln)
-		logm.Warn("control plane running under injected chaos", "spec", *chaos)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

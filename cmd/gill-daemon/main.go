@@ -9,8 +9,7 @@
 //
 // A -wal directory adds a crash-safe record journal (recovered and
 // repaired on startup) plus the serving plane's skip-index over its
-// segments; -chaos injects deterministic faults into the accept path for
-// resilience testing. The -admin flag serves the operator plane
+// segments. The -admin flag serves the operator plane
 // (/metrics, /statusz, /healthz, /readyz, /tracez, /debug/pprof/) and,
 // when a WAL is configured, the query API under /api/ and the filtered
 // NDJSON live stream on /stream — bind it to loopback or an operator
@@ -35,7 +34,6 @@ import (
 	"repro/internal/archive"
 	"repro/internal/daemon"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/filter"
 	"repro/internal/index"
 	"repro/internal/metrics"
@@ -61,7 +59,6 @@ func main() {
 		walDir       = flag.String("wal", "", "crash-safe record journal directory (recovered on startup)")
 		walRot       = flag.Int("wal-rotate", 0, "records per journal segment before rotation (0: default)")
 		filtTTL      = flag.Duration("filter-ttl", 0, "degrade to retain-everything when filters go stale (0: never)")
-		chaos        = flag.String("chaos", "", "fault-injection spec, e.g. seed=7,reset=0.01,drop-accept=50 (testing only)")
 		coordTo      = flag.String("coordinator", "", "fabric coordinator address; joins the fleet, receives VP assignments and filter pushes")
 		fabricID     = flag.String("fabric-id", "", "collector identity within the fabric (required with -coordinator)")
 		advert       = flag.String("advertise", "", "BGP address advertised to the coordinator (default: -listen)")
@@ -252,14 +249,6 @@ func main() {
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fatal("listen", "addr", *listen, "err", err)
-	}
-	if *chaos != "" {
-		fc, err := faults.ParseSpec(*chaos)
-		if err != nil {
-			fatal("bad -chaos", "err", err)
-		}
-		ln = faults.New(fc).Listener(ln)
-		logm.Warn("CHAOS: injecting faults on the collection path", "spec", *chaos)
 	}
 	logm.Info("listening", "as", *localAS, "addr", ln.Addr())
 

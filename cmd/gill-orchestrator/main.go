@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/mrt"
 	"repro/internal/orchestrator"
@@ -51,7 +50,6 @@ func main() {
 		qualityAuto  = flag.Bool("quality-autorefresh", false, "act on data-quality drift signals by re-running the last training (default: signals are advisory)")
 		fabricListen = flag.String("fabric-listen", "", "run an embedded fabric coordinator on this address: confirmed peers become fleet VPs, trained filters are pushed to every collector")
 		fabricLease  = flag.Duration("fabric-lease", fabric.DefaultLeaseTTL, "collector lease TTL for the embedded coordinator")
-		fabricChaos  = flag.String("chaos", "", "fault-injection spec for the fabric control listener (testing only)")
 	)
 	flag.Parse()
 
@@ -132,15 +130,6 @@ func main() {
 		if err != nil {
 			logm.Error("fabric listen failed", "addr", *fabricListen, "err", err)
 			os.Exit(1)
-		}
-		if *fabricChaos != "" {
-			fc, err := faults.ParseSpec(*fabricChaos)
-			if err != nil {
-				logm.Error("bad -chaos spec", "err", err)
-				os.Exit(1)
-			}
-			fln = faults.New(fc).Listener(fln)
-			logm.Warn("fabric control plane running under injected chaos", "spec", *fabricChaos)
 		}
 		go coord.Serve(context.Background(), fln)
 		go coord.Run(context.Background())

@@ -44,7 +44,7 @@ import (
 
 	"repro/internal/archive"
 	"repro/internal/index"
-	"repro/internal/live"
+	"repro/internal/stream"
 	"repro/internal/update"
 	"repro/internal/vitals"
 )
@@ -280,9 +280,9 @@ func httpMode(addr, from, to, at, vp, prefix string, rib, stats, count bool) {
 		path = "/api/query"
 	}
 	var envelope struct {
-		Count     int             `json:"count"`
-		Truncated bool            `json:"truncated"`
-		Updates   []*live.Message `json:"updates"`
+		Count     int               `json:"count"`
+		Truncated bool              `json:"truncated"`
+		Updates   []*stream.Message `json:"updates"`
 	}
 	getJSON(base+path+"?"+v.Encode(), &envelope)
 	if count {

@@ -24,7 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/live"
 	"repro/internal/resilience"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -61,7 +60,7 @@ func main() {
 		sub.Set("vp", *vp)
 	}
 	enc := json.NewEncoder(os.Stdout)
-	print := func(m *live.Message) error {
+	print := func(m *stream.Message) error {
 		if *asJSON {
 			return enc.Encode(m)
 		}

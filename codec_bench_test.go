@@ -4,8 +4,8 @@ package gill_test
 // report. BenchmarkCodec measures the wire codec alone — decode into a
 // reused Update (the session read loop), the legacy eager decode, and
 // append-encode into a reused buffer (the archive arena). Benchmark-
-// IngestAllocs drives the full filter → redundancy → archive → counter
-// chain and reports per-update allocation cost. TestCodecBenchReport
+// IngestAllocs drives the filter → archive → counter stages daemon.New
+// composes and reports per-update allocation cost. TestCodecBenchReport
 // (env-gated, run by `make bench-codec` and regenerated by the bench
 // guard) records all three as msgs/s, ns/op and allocs/op, and pins the
 // tentpole contract: decode into a reused Update is allocation-free and
@@ -134,6 +134,9 @@ func codecIngestCorpus() []*update.Update {
 	return us
 }
 
+// codecIngestPipeline is the daemon's ingest chain without its taps:
+// FilterStage → ArchiveStage → CounterStage, the stage types daemon.New
+// composes.
 func codecIngestPipeline() *pipeline.Pipeline {
 	reg := metrics.NewRegistry()
 	return pipeline.New(pipeline.Config{
@@ -144,7 +147,6 @@ func codecIngestPipeline() *pipeline.Pipeline {
 		Registry:  reg,
 	},
 		&pipeline.FilterStage{},
-		&pipeline.RedundancyStage{},
 		&pipeline.ArchiveStage{LocalAS: 65000, Out: io.Discard},
 		pipeline.NewCounterStage(reg, "ingest"),
 	)

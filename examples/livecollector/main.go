@@ -3,7 +3,7 @@
 // session and runs its sharded ingest pipeline (filter → live feed →
 // archive), a synthetic router sends a calibrated update stream, a live
 // subscriber consumes the feed, and the resulting MRT archive is read
-// back through an explicit offline pipeline that tags redundant updates.
+// back and measured for redundancy.
 //
 //	go run ./examples/livecollector
 package main
@@ -25,7 +25,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/mrt"
 	"repro/internal/orchestrator"
-	"repro/internal/pipeline"
 	"repro/internal/stream"
 	"repro/internal/update"
 	"repro/internal/workload"
@@ -158,9 +157,8 @@ func main() {
 	feed.Close()
 	fmt.Printf("live feed: %d updates streamed to the subscriber\n", <-streamed)
 
-	// 6. Read the MRT archive back and run it through an explicit offline
-	// pipeline: redundancy tagging (§4.2 Definition 1) and counters —
-	// the same Stage machinery the daemon runs online.
+	// 6. Read the MRT archive back and measure how much of what was
+	// archived is redundant under §4.2 Definition 1.
 	var replayed []*update.Update
 	r := mrt.NewReader(bytes.NewReader(archive.Bytes()))
 	records, droppedNoisy := 0, 0
@@ -185,26 +183,9 @@ func main() {
 	fmt.Printf("archive: %d MRT records; filtered prefixes appearing: %d (want 0)\n",
 		records, droppedNoisy)
 
-	counters := pipeline.NewCounterStage(metricsReg, "replay")
-	offline := gill.NewPipeline(gill.PipelineConfig{
-		Shards:    1, // one shard: the whole stream shares a slack window
-		BatchSize: 512,
-		Overflow:  gill.OverflowBlock,
-		Registry:  metricsReg,
-		Name:      "replay.pipeline",
-	}, &pipeline.RedundancyStage{Def: update.Def1}, counters)
-	if err := offline.Start(ctx); err != nil {
-		log.Fatal(err)
-	}
 	redundant := 0
-	for _, u := range replayed {
-		offline.Ingest(u)
-	}
-	if err := offline.Close(); err != nil {
-		log.Fatal(err)
-	}
-	for _, u := range replayed {
-		if u.Redundant {
+	for _, r := range update.MarkRedundant(update.Def1, replayed) {
+		if r {
 			redundant++
 		}
 	}

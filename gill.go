@@ -7,10 +7,11 @@
 // (Component #1) and topological-feature-based anchor-VP selection
 // (Component #2) — compiled into coarse (VP, prefix) filters.
 //
-// The package re-exports the system's public surface: the BGP-4 speaker
-// and MRT codec substrates, the mini-Internet simulator used for
-// evaluation, the sampling pipeline, the filter engine, and the collection
-// daemon and orchestrator. The examples/ directory demonstrates end-to-end
+// The package re-exports the names the examples and the root tests drive:
+// the mini-Internet simulator used for evaluation, training of the
+// sampling pipeline, the redundancy measures, the use-case evaluators, the
+// collection daemon, the orchestrator and the live-feed hub, plus the
+// types in their signatures. The examples/ directory demonstrates end-to-end
 // use; the repository-root benchmarks regenerate every table and figure of
 // the paper.
 package gill
@@ -18,24 +19,15 @@ package gill
 import (
 	"math/rand"
 
-	"repro/internal/anchors"
-	"repro/internal/archive"
-	"repro/internal/bmp"
 	"repro/internal/core"
-	"repro/internal/correlation"
 	"repro/internal/daemon"
-	"repro/internal/filter"
-	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/orchestrator"
-	"repro/internal/pipeline"
-	"repro/internal/sampling"
 	"repro/internal/simulate"
 	"repro/internal/stream"
 	"repro/internal/topology"
 	"repro/internal/update"
 	"repro/internal/usecases"
-	"repro/internal/validity"
 )
 
 // Version identifies this implementation.
@@ -50,7 +42,6 @@ type Definition = update.Definition
 // Redundancy definitions.
 const (
 	Def1 = update.Def1
-	Def2 = update.Def2
 	Def3 = update.Def3
 )
 
@@ -108,22 +99,6 @@ func Train(data TrainingData, cfg Config, seed int64) *Model {
 	return core.Train(data, cfg, rand.New(rand.NewSource(seed)))
 }
 
-// FilterSet is a compiled priority-ordered filter set (§7).
-type FilterSet = filter.Set
-
-// Granularity selects filter match precision.
-type Granularity = filter.Granularity
-
-// Filter granularities.
-const (
-	GranVPPrefix         = filter.GranVPPrefix
-	GranVPPrefixPath     = filter.GranVPPrefixPath
-	GranVPPrefixPathComm = filter.GranVPPrefixPathComm
-)
-
-// Sampler selects a subset of an update stream under a budget.
-type Sampler = sampling.Sampler
-
 // Evaluator is one of the §10 benchmark use cases.
 type Evaluator = usecases.Evaluator
 
@@ -164,62 +139,12 @@ func RedundantFraction(def Definition, us []*Update) float64 {
 // replaying per-(VP, prefix) history.
 func Annotate(us []*Update) { update.Annotate(us) }
 
-// CorrelationConfig re-exports Component #1's parameters.
-type CorrelationConfig = correlation.Config
-
-// AnchorSelectConfig re-exports Component #2's selection parameters.
-type AnchorSelectConfig = anchors.SelectConfig
-
-// Pipeline is the sharded, backpressure-aware ingest pipeline of the
-// collection path; the Daemon composes its own from the built-in stages,
-// and offline tools can build custom chains.
-type Pipeline = pipeline.Pipeline
-
-// PipelineConfig parameterizes a Pipeline.
-type PipelineConfig = pipeline.Config
-
-// Stage is one pipeline processing step over batches of updates.
-type Stage = pipeline.Stage
-
-// NewPipeline builds a pipeline over a stage chain; call Start to launch
-// its shard workers.
-func NewPipeline(cfg PipelineConfig, stages ...Stage) *Pipeline {
-	return pipeline.New(cfg, stages...)
-}
-
-// Overflow policies for a full pipeline shard queue.
-const (
-	OverflowBlock      = pipeline.Block
-	OverflowDropNewest = pipeline.DropNewest
-	OverflowDropOldest = pipeline.DropOldest
-)
-
 // MetricsRegistry is a named collection of counters, gauges, and
 // histograms; every pipeline stage exports its accounting through one.
 type MetricsRegistry = metrics.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// ROARegistry validates route origins (RFC 6811); plug into a Daemon via
-// a validity.Checker (§14 fake-data defenses).
-type ROARegistry = validity.Registry
-
-// NewROARegistry returns an empty ROA registry.
-func NewROARegistry() *ROARegistry { return validity.NewRegistry() }
-
-// Archive is the rotating MRT database of §9. Wire it to a Daemon via
-// DaemonConfig.RecordSink.
-type Archive = archive.Store
-
-// OpenArchive opens (or creates) an archive directory.
-func OpenArchive(dir string) (*Archive, error) {
-	return archive.Open(dir, archive.DefaultRotation)
-}
-
-// BMPStation ingests RFC 7854 BMP feeds through the same filters as BGP
-// peerings (§14's generalization).
-type BMPStation = bmp.Station
 
 // StreamHub is the serving plane's mass fan-out: encode-once delivery of
 // the retained feed to many concurrent subscribers, each with its own
@@ -231,23 +156,5 @@ type StreamHub = stream.Hub
 // StreamConfig parameterizes a StreamHub.
 type StreamConfig = stream.Config
 
-// StreamFilter is a compiled subscriber filter expression (prefix,
-// containment, VP, origin, community, AS-path regex, update type).
-type StreamFilter = stream.Filter
-
 // NewStreamHub starts a fan-out hub.
 func NewStreamHub(cfg StreamConfig) *StreamHub { return stream.NewHub(cfg) }
-
-// ParseStreamFilter compiles a filter expression such as
-// `within=203.0.113.0/24 vp=vp65001 type=announce`.
-func ParseStreamFilter(expr string) (*StreamFilter, error) { return stream.ParseFilter(expr) }
-
-// IndexService answers time/prefix/VP range queries and reconstructs
-// routing state ("RIB at time T") from a daemon's record journal through
-// its skip-index; (*IndexService).Handler serves the same queries as an
-// HTTP JSON API.
-type IndexService = index.Service
-
-// OpenIndex opens the index over a journal directory, syncing it with
-// the segments on disk.
-func OpenIndex(dir string) (*IndexService, error) { return index.NewService(dir, nil) }

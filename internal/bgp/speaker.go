@@ -105,9 +105,17 @@ func (s *Session) sendLocked(m Message) error {
 	return s.w.Flush()
 }
 
+// openHoldTime bounds the handshake: the wait for the peer's OPEN and
+// KEEPALIVE in OpenSent/OpenConfirm. RFC 4271 §8 suggests this "large
+// value" of 4 minutes for the hold timer before one is negotiated.
+const openHoldTime = 4 * time.Minute
+
 // Establish performs the BGP handshake on conn and returns an established
 // Session. It drives the FSM through OpenSent → OpenConfirm → Established.
 // The same code path serves active (dialer) and passive (listener) ends.
+// The handshake fails after four minutes (openHoldTime) or at ctx's
+// deadline, whichever is sooner, and canceling ctx aborts it; on any
+// failure conn is closed.
 func Establish(ctx context.Context, conn net.Conn, cfg SpeakerConfig) (*Session, error) {
 	s := &Session{
 		conn:    conn,
@@ -119,33 +127,47 @@ func Establish(ctx context.Context, conn net.Conn, cfg SpeakerConfig) (*Session,
 	s.fsm.Step(EventManualStart)
 	s.fsm.Step(EventTCPConnected)
 
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
+	dl := time.Now().Add(openHoldTime)
+	if d, ok := ctx.Deadline(); ok && d.Before(dl) {
+		dl = d
+	}
+	_ = conn.SetDeadline(dl)
+	// Cancellation expires the deadline, failing whichever read or write
+	// the handshake is blocked in.
+	stopCancel := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+	fail := func(err error) (*Session, error) {
+		stopCancel()
+		conn.Close()
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, fmt.Errorf("%w (%w)", err, cerr)
+		}
+		return nil, err
 	}
 
 	// Send OPEN.
 	open := NewOpen(cfg.LocalAS, cfg.holdTime(), cfg.RouterID)
 	if err := s.sendLocked(open); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("bgp: sending OPEN: %w", err)
+		return fail(fmt.Errorf("bgp: sending OPEN: %w", err))
 	}
 
 	// Receive peer OPEN.
 	r := bufio.NewReader(conn)
 	msg, err := ReadMessage(r)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("bgp: waiting for OPEN: %w", err)
+		return fail(fmt.Errorf("bgp: waiting for OPEN: %w", err))
 	}
 	peerOpen, ok := msg.(*Open)
 	if !ok {
-		conn.Close()
-		return nil, fmt.Errorf("bgp: expected OPEN, got %s", typeName(msg.Type()))
+		return fail(fmt.Errorf("bgp: expected OPEN, got %s", typeName(msg.Type())))
 	}
 	if peerOpen.VersionNum != Version {
 		_ = s.sendLocked(&Notification{Code: NotifOpenError, Subcode: 1})
-		conn.Close()
-		return nil, fmt.Errorf("bgp: unsupported version %d", peerOpen.VersionNum)
+		return fail(fmt.Errorf("bgp: unsupported version %d", peerOpen.VersionNum))
+	}
+	// RFC 4271 §6.2: hold times of one or two seconds MUST be rejected.
+	if peerOpen.HoldTime == 1 || peerOpen.HoldTime == 2 {
+		_ = s.sendLocked(&Notification{Code: NotifOpenError, Subcode: 6}) // Unacceptable Hold Time
+		return fail(fmt.Errorf("bgp: unacceptable hold time %d", peerOpen.HoldTime))
 	}
 	s.fsm.Step(EventOpenReceived)
 	s.PeerAS = peerOpen.AS
@@ -153,21 +175,22 @@ func Establish(ctx context.Context, conn net.Conn, cfg SpeakerConfig) (*Session,
 
 	// Confirm with KEEPALIVE and wait for the peer's.
 	if err := s.sendLocked(&Keepalive{}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("bgp: sending KEEPALIVE: %w", err)
+		return fail(fmt.Errorf("bgp: sending KEEPALIVE: %w", err))
 	}
 	msg, err = ReadMessage(r)
 	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("bgp: waiting for KEEPALIVE: %w", err)
+		return fail(fmt.Errorf("bgp: waiting for KEEPALIVE: %w", err))
 	}
 	if n, ok := msg.(*Notification); ok {
-		conn.Close()
-		return nil, n
+		return fail(n)
 	}
 	if _, ok := msg.(*Keepalive); !ok {
-		conn.Close()
-		return nil, fmt.Errorf("bgp: expected KEEPALIVE, got %s", typeName(msg.Type()))
+		return fail(fmt.Errorf("bgp: expected KEEPALIVE, got %s", typeName(msg.Type())))
+	}
+	// A cancellation that already fired has expired the deadline (or is
+	// about to): the session is not handed over.
+	if !stopCancel() {
+		return fail(errors.New("bgp: handshake canceled"))
 	}
 	s.fsm.Step(EventKeepaliveReceived)
 

@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/netip"
 	"testing"
@@ -229,5 +230,132 @@ func TestEstablishHandshakeTimeout(t *testing.T) {
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Error("handshake did not respect the context deadline")
+	}
+}
+
+// passiveEstablish runs Establish on the next connection ln accepts — the
+// collector's side — and returns its outcome on a channel.
+func passiveEstablish(ctx context.Context, ln net.Listener) <-chan error {
+	ch := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			ch <- err
+			return
+		}
+		s, err := Establish(ctx, conn, SpeakerConfig{
+			LocalAS:  65000,
+			RouterID: netip.MustParseAddr("192.0.2.100"),
+			HoldTime: 180,
+		})
+		if err == nil {
+			s.Close()
+		}
+		ch <- err
+	}()
+	return ch
+}
+
+// TestEstablishHostileOpen drives the collector's handshake with OPENs a
+// real peer may send and checks each ends cleanly: an unacceptable hold
+// time draws NOTIFICATION (OPEN Message Error, Unacceptable Hold Time),
+// everything else establishes — nothing hangs.
+func TestEstablishHostileOpen(t *testing.T) {
+	cases := []struct {
+		name string
+		hold uint16
+		caps []Capability // appended to NewOpen's
+		// wantSubcode is the OPEN error subcode the peer must read; 0
+		// means the session establishes.
+		wantSubcode uint8
+	}{
+		{name: "hold-0", hold: 0},
+		{name: "hold-1", hold: 1, wantSubcode: 6},
+		{name: "hold-2", hold: 2, wantSubcode: 6},
+		{name: "hold-3", hold: 3},
+		{name: "unknown-cap-and-add-path", hold: 90, caps: []Capability{
+			{Code: 69, Value: []byte{0, AFIIPv4, SAFIUnicast, 3}}, // ADD-PATH send+receive
+			{Code: 250, Value: []byte{1, 2, 3}},                   // unassigned code
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			done := passiveEstablish(ctx, ln)
+
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if m, err := ReadMessage(conn); err != nil || m.Type() != TypeOpen {
+				t.Fatalf("collector's OPEN: %v, %v", m, err)
+			}
+			open := NewOpen(65001, tc.hold, netip.MustParseAddr("192.0.2.1"))
+			open.Capabilities = append(open.Capabilities, tc.caps...)
+			if err := WriteMessage(conn, open); err != nil {
+				t.Fatal(err)
+			}
+			m, err := ReadMessage(conn)
+			if err != nil {
+				t.Fatalf("reading the collector's answer: %v", err)
+			}
+			if tc.wantSubcode != 0 {
+				n, ok := m.(*Notification)
+				if !ok || n.Code != NotifOpenError || n.Subcode != tc.wantSubcode {
+					t.Fatalf("answer = %#v, want NOTIFICATION (%d, %d)", m, NotifOpenError, tc.wantSubcode)
+				}
+				if err := <-done; err == nil {
+					t.Fatal("Establish accepted the OPEN")
+				}
+				return
+			}
+			if _, ok := m.(*Keepalive); !ok {
+				t.Fatalf("answer = %#v, want KEEPALIVE", m)
+			}
+			if err := WriteMessage(conn, &Keepalive{}); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("Establish: %v", err)
+			}
+		})
+	}
+}
+
+// TestEstablishCancelUnblocksSilentPeer: a connection that never sends an
+// OPEN, under a context with no deadline, must not hold Establish once the
+// context is canceled.
+func TestEstablishCancelUnblocksSilentPeer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := passiveEstablish(ctx, ln)
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := ReadMessage(conn); err != nil { // the collector's OPEN
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Establish = %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Establish still blocked 1s after cancel")
 	}
 }

@@ -113,6 +113,42 @@ func TestServeGivesUpOnPersistentAcceptFailure(t *testing.T) {
 	}
 }
 
+// TestServeReturnsOnCancelWithSilentPeer: a TCP connect that never sends
+// an OPEN (a port scan, a wedged router) must not keep Serve from
+// returning once its context is canceled.
+func TestServeReturnsOnCancelWithSilentPeer(t *testing.T) {
+	d := New(Config{LocalAS: 65000})
+	defer d.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- d.Serve(ctx, ln) }()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer conn.Close()
+	// The daemon's OPEN proves the session handler is inside the handshake.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := bgp.ReadMessage(conn); err != nil {
+		t.Fatalf("reading the daemon's OPEN: %v", err)
+	}
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve = %v after cancel, want nil", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serve still blocked 1s after cancel by a peer that never sent OPEN")
+	}
+}
+
 // fakeClock is a mutex-guarded manual clock.
 type fakeClock struct {
 	mu  sync.Mutex

@@ -2,25 +2,18 @@
 // collection path. At GILL's scale (thousands of VP sessions, §4)
 // connection resets, slow disks, partial writes, and corrupted tails are
 // the steady state, not edge cases — so the failure handling in
-// internal/{daemon,bmp,live,archive} is exercised against *seeded*
+// internal/{daemon,stream,archive,fabric} is exercised against *seeded*
 // synthetic faults rather than waiting for production to produce them.
 // Every wrapper draws from one seeded PRNG, so a failing schedule
 // reproduces from its seed alone, and tests need no real sleeps beyond
 // the injected latency they configure.
-//
-// The same harness backs the daemon's -chaos flag: a spec string like
-// "seed=7,reset=0.01,latency=2ms,drop-accept=50" wraps the production
-// listener so operators can rehearse fault handling on a live binary.
 package faults
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
@@ -68,54 +61,6 @@ type Config struct {
 	// the write that crosses the budget is cut short and every later write
 	// fails with ErrTruncated. This simulates a SIGKILL mid-archive.
 	TruncateAt int64
-}
-
-// ParseSpec parses a -chaos specification: comma-separated key=value
-// pairs. Keys: seed, drop-accept, reset, latency-prob, latency, partial,
-// corrupt, err, truncate-at. Example:
-//
-//	seed=7,reset=0.01,latency=2ms,latency-prob=0.05,drop-accept=50
-func ParseSpec(spec string) (Config, error) {
-	var cfg Config
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
-	}
-	for _, kv := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(strings.TrimSpace(kv), "=")
-		if !ok {
-			return cfg, fmt.Errorf("faults: bad spec element %q (want key=value)", kv)
-		}
-		var err error
-		switch k {
-		case "seed":
-			cfg.Seed, err = strconv.ParseInt(v, 10, 64)
-		case "drop-accept":
-			cfg.DropEveryN, err = strconv.Atoi(v)
-		case "reset":
-			cfg.ResetProb, err = strconv.ParseFloat(v, 64)
-		case "latency-prob":
-			cfg.LatencyProb, err = strconv.ParseFloat(v, 64)
-		case "latency":
-			cfg.Latency, err = time.ParseDuration(v)
-			if err == nil && cfg.LatencyProb == 0 {
-				cfg.LatencyProb = 1
-			}
-		case "partial":
-			cfg.PartialProb, err = strconv.ParseFloat(v, 64)
-		case "corrupt":
-			cfg.CorruptProb, err = strconv.ParseFloat(v, 64)
-		case "err":
-			cfg.ErrProb, err = strconv.ParseFloat(v, 64)
-		case "truncate-at":
-			cfg.TruncateAt, err = strconv.ParseInt(v, 10, 64)
-		default:
-			return cfg, fmt.Errorf("faults: unknown spec key %q", k)
-		}
-		if err != nil {
-			return cfg, fmt.Errorf("faults: bad value for %s: %w", k, err)
-		}
-	}
-	return cfg, nil
 }
 
 // Injector hands out fault-wrapped connections, listeners, and writers

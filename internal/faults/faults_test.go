@@ -9,30 +9,6 @@ import (
 	"time"
 )
 
-func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("seed=7,reset=0.01,latency=2ms,drop-accept=50,partial=0.1,corrupt=0.2,err=0.3,truncate-at=1024")
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	if cfg.Seed != 7 || cfg.ResetProb != 0.01 || cfg.Latency != 2*time.Millisecond ||
-		cfg.DropEveryN != 50 || cfg.PartialProb != 0.1 || cfg.CorruptProb != 0.2 ||
-		cfg.ErrProb != 0.3 || cfg.TruncateAt != 1024 {
-		t.Fatalf("ParseSpec mismatch: %+v", cfg)
-	}
-	if cfg.LatencyProb != 1 {
-		t.Fatalf("latency without latency-prob should default to always, got %v", cfg.LatencyProb)
-	}
-	if _, err := ParseSpec("bogus"); err == nil {
-		t.Fatal("ParseSpec accepted a pairless element")
-	}
-	if _, err := ParseSpec("nope=1"); err == nil {
-		t.Fatal("ParseSpec accepted an unknown key")
-	}
-	if c, err := ParseSpec("  "); err != nil || c != (Config{}) {
-		t.Fatalf("empty spec: %+v, %v", c, err)
-	}
-}
-
 func TestWriterDeterministicSchedule(t *testing.T) {
 	run := func() (string, int64) {
 		var buf bytes.Buffer

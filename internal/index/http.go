@@ -8,7 +8,7 @@ package index
 //	GET /api/rib?at=&prefix=&vp=&limit= → reconstructed state at a time
 //
 // Timestamps accept RFC 3339 or unix seconds; at=now is the current
-// time. Responses render updates as live.Message objects so the query
+// time. Responses render updates as stream.Message objects so the query
 // and streaming halves of the serving plane share one wire schema.
 
 import (
@@ -18,7 +18,7 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/live"
+	"repro/internal/stream"
 	"repro/internal/update"
 )
 
@@ -136,16 +136,16 @@ func (s *Service) ribHandler(w http.ResponseWriter, r *http.Request) {
 	writeUpdates(w, routes, limit, map[string]any{"at": at.Format(time.RFC3339)})
 }
 
-// writeUpdates renders updates as live.Message objects under extra's
+// writeUpdates renders updates as stream.Message objects under extra's
 // envelope, truncating at limit.
 func writeUpdates(w http.ResponseWriter, us []*update.Update, limit int, extra map[string]any) {
 	truncated := false
 	if len(us) > limit {
 		us, truncated = us[:limit], true
 	}
-	msgs := make([]*live.Message, len(us))
+	msgs := make([]*stream.Message, len(us))
 	for i, u := range us {
-		msgs[i] = live.ToMessage(u)
+		msgs[i] = stream.ToMessage(u)
 	}
 	extra["count"] = len(msgs)
 	extra["truncated"] = truncated

@@ -427,6 +427,7 @@ func (ix *Index) Stats() Stats {
 	defer ix.mu.Unlock()
 	var s Stats
 	vps := make(map[string]bool)
+	timed := false
 	for _, m := range ix.segs {
 		s.Segments++
 		if m.Sealed {
@@ -434,13 +435,16 @@ func (ix *Index) Stats() Stats {
 		}
 		s.Records += m.Records
 		s.Bytes += m.Size
-		if m.Records > 0 {
-			if s.MinTime == 0 || m.MinTime < s.MinTime {
+		// A zero time range means no timestamped records; it must not
+		// bound the others, whatever order the map yields the segments in.
+		if m.Records > 0 && (m.MinTime != 0 || m.MaxTime != 0) {
+			if !timed || m.MinTime < s.MinTime {
 				s.MinTime = m.MinTime
 			}
-			if m.MaxTime > s.MaxTime {
+			if !timed || m.MaxTime > s.MaxTime {
 				s.MaxTime = m.MaxTime
 			}
+			timed = true
 		}
 		for _, vp := range m.VPs {
 			vps[vp] = true

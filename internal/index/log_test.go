@@ -8,6 +8,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -301,4 +302,91 @@ func TestAddSegmentMetrics(t *testing.T) {
 		snap.Gauges["index.records"] != int64(st.Records) || snap.Gauges["index.bytes"] != st.Bytes {
 		t.Fatalf("metrics after 8 seals: %d observations, gauges %v, stats %+v", snap.Histograms["index.add_segment_ns"].Count, snap.Gauges, st)
 	}
+}
+
+// FuzzIndexOpen feeds arbitrary bytes to Open as the index log beside a
+// fixed two-segment journal. The log is derived data, so whatever it
+// holds: Open and Sync never fail, after Sync the index names exactly the
+// segments on disk (no entry the log invented survives), and the log Sync
+// leaves behind reads back to the same Stats.
+func FuzzIndexOpen(f *testing.F) {
+	fixture := f.TempDir()
+	j, err := archive.OpenJournal(fixture, 8)
+	if err != nil {
+		f.Fatalf("OpenJournal: %v", err)
+	}
+	for i := 0; i < 12; i++ {
+		vp := uint32(65001 + i%2)
+		if err := j.Append(rec(vp, time.Duration(i)*time.Minute, "203.0.113.0/24", []uint32{vp, 64999}, i%5 == 4)); err != nil {
+			f.Fatalf("Append: %v", err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		f.Fatalf("Close: %v", err)
+	}
+	segs, err := archive.ListSegments(fixture)
+	if err != nil || len(segs) != 2 {
+		f.Fatalf("fixture has segments %v (%v), want 2", segs, err)
+	}
+	var names []string
+	for _, s := range segs {
+		names = append(names, filepath.Base(s))
+	}
+
+	// Seeds: a good log, then the cases the table tests pin — a duplicate
+	// entry, a torn last line, the old one-document version — and entries
+	// for a segment that does not exist or whose size is wrong.
+	ix, err := Open(fixture)
+	if err != nil {
+		f.Fatalf("Open: %v", err)
+	}
+	if err := ix.Sync(); err != nil {
+		f.Fatalf("Sync: %v", err)
+	}
+	good, err := os.ReadFile(filepath.Join(fixture, FileName))
+	if err != nil {
+		f.Fatalf("ReadFile: %v", err)
+	}
+	lines := bytes.SplitAfter(good, []byte("\n"))
+	entry := lines[1]
+	f.Add(good)
+	f.Add(append(slices.Clone(good), entry...))
+	f.Add(append(slices.Clone(good), entry[:len(entry)/2]...))
+	f.Add([]byte(`{"version":1,"segments":[{"name":"wal-00000000.seg","size":1,"records":99,"sealed":true}]}`))
+	f.Add(append(slices.Clone(lines[0]), bytes.Replace(entry, []byte(names[0]), []byte("wal-99999999.seg"), 1)...))
+	f.Add(append(slices.Clone(lines[0]), `{"name":"`+names[1]+`","size":7,"records":3,"sealed":true,"min_time":0,"max_time":9}`+"\n"...))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for _, s := range segs {
+			if err := os.Link(s, filepath.Join(dir, filepath.Base(s))); err != nil {
+				t.Fatalf("Link: %v", err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, FileName), data, 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		ix, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if err := ix.Sync(); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		var got []string
+		for _, m := range ix.Segments() {
+			got = append(got, m.Name)
+		}
+		if !slices.Equal(got, names) {
+			t.Fatalf("after Sync the index names %q, the disk holds %q", got, names)
+		}
+		again, err := Open(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if a, b := again.Stats(), ix.Stats(); a != b {
+			t.Fatalf("the log Sync wrote reads back as %+v, Sync left %+v", a, b)
+		}
+	})
 }

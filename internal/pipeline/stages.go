@@ -2,7 +2,7 @@ package pipeline
 
 // Built-in stages: the GILL collection path decomposed. A daemon composes
 // FilterStage → LiveStage → ArchiveStage → CounterStage; offline tools
-// can insert RedundancyStage or custom stages anywhere in the chain.
+// can insert custom stages anywhere in the chain.
 
 import (
 	"io"
@@ -76,43 +76,6 @@ func (s *FilterStage) Process(batch []*update.Update) []*update.Update {
 			s.ShadowSink(u, k)
 		}
 		if k {
-			kept = append(kept, u)
-		}
-	}
-	return kept
-}
-
-// RedundancyStage tags each update that is redundant with another update
-// of the same batch under one of the paper's Definitions 1–3 (§4.2).
-// Tagging is batch-local: with the pipeline's (VP, prefix) shard key, the
-// updates a definition can relate are co-located on one shard, so larger
-// batches see more of the slack window. With Drop set, tagged updates are
-// discarded instead of passed on (an overshoot-and-discard experiment
-// knob; production GILL discards via compiled filters, not live tagging).
-type RedundancyStage struct {
-	Def  update.Definition
-	Drop bool
-}
-
-// Name implements Stage.
-func (s *RedundancyStage) Name() string { return "redundancy" }
-
-// Process implements Stage.
-func (s *RedundancyStage) Process(batch []*update.Update) []*update.Update {
-	def := s.Def
-	if def == 0 {
-		def = update.Def1
-	}
-	marks := update.MarkRedundant(def, batch)
-	for i, u := range batch {
-		u.Redundant = marks[i]
-	}
-	if !s.Drop {
-		return batch
-	}
-	kept := batch[:0]
-	for i, u := range batch {
-		if !marks[i] {
 			kept = append(kept, u)
 		}
 	}
@@ -344,16 +307,14 @@ func v6AddrOr(a netip.Addr) netip.Addr {
 type CounterStage struct {
 	updates     *metrics.Counter
 	withdrawals *metrics.Counter
-	redundant   *metrics.Counter
 }
 
-// NewCounterStage registers <prefix>.updates, <prefix>.withdrawals and
-// <prefix>.redundant in reg.
+// NewCounterStage registers <prefix>.updates and <prefix>.withdrawals in
+// reg.
 func NewCounterStage(reg *metrics.Registry, prefix string) *CounterStage {
 	return &CounterStage{
 		updates:     reg.Counter(prefix + ".updates"),
 		withdrawals: reg.Counter(prefix + ".withdrawals"),
-		redundant:   reg.Counter(prefix + ".redundant"),
 	}
 }
 
@@ -362,17 +323,13 @@ func (s *CounterStage) Name() string { return "counter" }
 
 // Process implements Stage.
 func (s *CounterStage) Process(batch []*update.Update) []*update.Update {
-	var w, r uint64
+	var w uint64
 	for _, u := range batch {
 		if u.Withdraw {
 			w++
 		}
-		if u.Redundant {
-			r++
-		}
 	}
 	s.updates.Add(uint64(len(batch)))
 	s.withdrawals.Add(w)
-	s.redundant.Add(r)
 	return batch
 }

@@ -10,77 +10,6 @@ import (
 	"repro/internal/metrics"
 )
 
-func TestBreakerInstrument(t *testing.T) {
-	now := time.Unix(0, 0)
-	reg := metrics.NewRegistry()
-	b := &Breaker{FailureThreshold: 2, ResetTimeout: time.Second,
-		Clock: func() time.Time { return now }}
-	b.Instrument(reg, "breaker.orchestrator")
-
-	s := reg.Snapshot()
-	if g := s.Gauges["breaker.orchestrator.state"]; g != int64(BreakerClosed) {
-		t.Fatalf("state gauge = %d, want closed", g)
-	}
-
-	boom := errors.New("down")
-	b.Record(boom)
-	b.Record(boom)
-	s = reg.Snapshot()
-	if g := s.Gauges["breaker.orchestrator.state"]; g != int64(BreakerOpen) {
-		t.Fatalf("state gauge = %d after threshold, want open", g)
-	}
-	if c := s.Counters["breaker.orchestrator.trips"]; c != 1 {
-		t.Fatalf("trips = %d, want 1", c)
-	}
-
-	now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe refused")
-	}
-	b.Record(nil)
-	s = reg.Snapshot()
-	if g := s.Gauges["breaker.orchestrator.state"]; g != int64(BreakerClosed) {
-		t.Fatalf("state gauge = %d after probe, want closed", g)
-	}
-	if c := s.Counters["breaker.orchestrator.resets"]; c != 1 {
-		t.Fatalf("resets = %d, want 1", c)
-	}
-}
-
-func TestBreakerOnStateChange(t *testing.T) {
-	now := time.Unix(0, 0)
-	type change struct{ from, to BreakerState }
-	var seen []change
-	b := &Breaker{FailureThreshold: 1, ResetTimeout: time.Second,
-		Clock: func() time.Time { return now }}
-	b.OnStateChange = func(from, to BreakerState) {
-		seen = append(seen, change{from, to})
-		// Re-entrancy must not deadlock: the hook fires outside the lock.
-		_ = b.State()
-	}
-
-	b.Record(errors.New("down")) // closed -> open
-	now = now.Add(time.Second)
-	if !b.Allow() { // open -> half-open
-		t.Fatal("probe refused")
-	}
-	b.Record(nil) // half-open -> closed
-
-	want := []change{
-		{BreakerClosed, BreakerOpen},
-		{BreakerOpen, BreakerHalfOpen},
-		{BreakerHalfOpen, BreakerClosed},
-	}
-	if len(seen) != len(want) {
-		t.Fatalf("transitions = %v, want %v", seen, want)
-	}
-	for i, w := range want {
-		if seen[i] != w {
-			t.Errorf("transition %d = %v, want %v", i, seen[i], w)
-		}
-	}
-}
-
 func TestSupervisorRestartCounter(t *testing.T) {
 	reg := metrics.NewRegistry()
 	runs := 0

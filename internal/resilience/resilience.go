@@ -4,15 +4,14 @@
 // steady-state faults of a platform that big: session flaps, slow disks,
 // unreachable control planes, daemon restarts. The package provides the
 // small set of mechanisms the rest of the tree composes: exponential
-// backoff with deterministic jitter, a Retrier, a circuit Breaker, and a
-// per-session Supervisor. Everything is stdlib-only and clock/sleep
+// backoff with deterministic jitter, a per-session Supervisor, a shared
+// accept loop, and time-bounded leases. Everything is stdlib-only and clock/sleep
 // injectable so failure behavior is testable without real time.
 package resilience
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 )
 
@@ -129,7 +128,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // Sleep waits for d or until ctx is done, returning ctx.Err() in the
-// latter case. It is the default sleeper for Retrier and Supervisor.
+// latter case. It is the default sleeper for Supervisor.
 func Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
@@ -150,7 +149,7 @@ type permanentError struct{ err error }
 func (p *permanentError) Error() string { return p.err.Error() }
 func (p *permanentError) Unwrap() error { return p.err }
 
-// Permanent wraps err so Retrier and Supervisor stop instead of retrying.
+// Permanent wraps err so Supervisor stops instead of restarting.
 // A nil err returns nil.
 func Permanent(err error) error {
 	if err == nil {
@@ -164,63 +163,4 @@ func Permanent(err error) error {
 func IsPermanent(err error) bool {
 	var p *permanentError
 	return errors.As(err, &p)
-}
-
-// ErrAttemptsExceeded is returned (wrapped around the last error) when a
-// Retrier runs out of attempts.
-var ErrAttemptsExceeded = errors.New("resilience: attempts exceeded")
-
-// Retrier runs an operation until it succeeds, is marked Permanent, the
-// context ends, or MaxAttempts is exhausted, sleeping per Backoff between
-// attempts. The zero value retries forever with default backoff.
-type Retrier struct {
-	Backoff Backoff
-	// MaxAttempts bounds total attempts (0: unlimited).
-	MaxAttempts int
-	// Classify, when set, decides retryability: returning false stops the
-	// retrier as if the error were Permanent. Permanent-marked errors stop
-	// regardless.
-	Classify func(error) bool
-	// OnRetry observes each scheduled retry (attempt is 0-based).
-	OnRetry func(attempt int, err error, delay time.Duration)
-	// SleepFn replaces the inter-attempt wait (tests); nil uses Sleep.
-	SleepFn func(ctx context.Context, d time.Duration) error
-}
-
-func (r *Retrier) sleep(ctx context.Context, d time.Duration) error {
-	if r.SleepFn != nil {
-		return r.SleepFn(ctx, d)
-	}
-	return Sleep(ctx, d)
-}
-
-// Do runs op until it returns nil or retrying stops. The returned error
-// is the last op error (wrapped in ErrAttemptsExceeded when the attempt
-// budget ran out), or ctx's error if the context ended first.
-func (r *Retrier) Do(ctx context.Context, op func(ctx context.Context) error) error {
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		err := op(ctx)
-		if err == nil {
-			return nil
-		}
-		if IsPermanent(err) {
-			return err
-		}
-		if r.Classify != nil && !r.Classify(err) {
-			return err
-		}
-		if r.MaxAttempts > 0 && attempt+1 >= r.MaxAttempts {
-			return fmt.Errorf("%w after %d: %w", ErrAttemptsExceeded, attempt+1, err)
-		}
-		delay := r.Backoff.Delay(attempt)
-		if r.OnRetry != nil {
-			r.OnRetry(attempt, err, delay)
-		}
-		if serr := r.sleep(ctx, delay); serr != nil {
-			return serr
-		}
-	}
 }

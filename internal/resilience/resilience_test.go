@@ -53,136 +53,6 @@ func TestBackoffDefaults(t *testing.T) {
 
 func noSleep(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
-func TestRetrierSucceedsAfterFailures(t *testing.T) {
-	calls := 0
-	r := &Retrier{SleepFn: noSleep}
-	err := r.Do(context.Background(), func(context.Context) error {
-		calls++
-		if calls < 4 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 4 {
-		t.Fatalf("Do = %v after %d calls, want nil after 4", err, calls)
-	}
-}
-
-func TestRetrierMaxAttempts(t *testing.T) {
-	calls := 0
-	r := &Retrier{MaxAttempts: 3, SleepFn: noSleep}
-	err := r.Do(context.Background(), func(context.Context) error {
-		calls++
-		return errors.New("always")
-	})
-	if !errors.Is(err, ErrAttemptsExceeded) {
-		t.Fatalf("Do = %v, want ErrAttemptsExceeded", err)
-	}
-	if calls != 3 {
-		t.Fatalf("op called %d times, want 3", calls)
-	}
-}
-
-func TestRetrierPermanentStops(t *testing.T) {
-	calls := 0
-	boom := errors.New("boom")
-	r := &Retrier{SleepFn: noSleep}
-	err := r.Do(context.Background(), func(context.Context) error {
-		calls++
-		return Permanent(boom)
-	})
-	if !errors.Is(err, boom) || !IsPermanent(err) || calls != 1 {
-		t.Fatalf("Do = %v after %d calls, want permanent boom after 1", err, calls)
-	}
-}
-
-func TestRetrierClassify(t *testing.T) {
-	fatal := errors.New("fatal")
-	calls := 0
-	r := &Retrier{
-		SleepFn:  noSleep,
-		Classify: func(err error) bool { return !errors.Is(err, fatal) },
-	}
-	if err := r.Do(context.Background(), func(context.Context) error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return fatal
-	}); !errors.Is(err, fatal) || calls != 3 {
-		t.Fatalf("Do = %v after %d calls, want fatal after 3", err, calls)
-	}
-}
-
-func TestRetrierContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	r := &Retrier{Backoff: Backoff{Base: time.Millisecond, Jitter: -1}}
-	calls := 0
-	err := r.Do(ctx, func(context.Context) error {
-		calls++
-		if calls == 2 {
-			cancel()
-		}
-		return errors.New("transient")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Do = %v, want context.Canceled", err)
-	}
-}
-
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := &Breaker{FailureThreshold: 3, ResetTimeout: 10 * time.Second,
-		Clock: func() time.Time { return now }}
-	boom := errors.New("down")
-
-	for i := 0; i < 3; i++ {
-		if !b.Allow() {
-			t.Fatalf("Allow refused while closed (i=%d)", i)
-		}
-		b.Record(boom)
-	}
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("state = %v after threshold failures, want open", st)
-	}
-	if b.Allow() {
-		t.Fatal("Allow passed while open")
-	}
-	if err := b.Do(func() error { return nil }); !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("Do = %v while open, want ErrBreakerOpen", err)
-	}
-
-	now = now.Add(10 * time.Second)
-	if st := b.State(); st != BreakerHalfOpen {
-		t.Fatalf("state = %v after reset timeout, want half-open", st)
-	}
-	if !b.Allow() {
-		t.Fatal("half-open refused the probe")
-	}
-	if b.Allow() {
-		t.Fatal("half-open admitted a second concurrent probe")
-	}
-	b.Record(nil)
-	if st := b.State(); st != BreakerClosed {
-		t.Fatalf("state = %v after successful probe, want closed", st)
-	}
-}
-
-func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := &Breaker{FailureThreshold: 1, ResetTimeout: time.Second,
-		Clock: func() time.Time { return now }}
-	b.Record(errors.New("down"))
-	now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("probe refused")
-	}
-	b.Record(errors.New("still down"))
-	if st := b.State(); st != BreakerOpen {
-		t.Fatalf("state = %v after failed probe, want open", st)
-	}
-}
-
 func TestSupervisorRestartsUntilNil(t *testing.T) {
 	runs := 0
 	s := &Supervisor{SleepFn: noSleep}

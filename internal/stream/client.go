@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/url"
 
-	"repro/internal/live"
 	"repro/internal/resilience"
 )
 
@@ -80,7 +79,7 @@ func Dial(ctx context.Context, hc *http.Client, addr string, query url.Values) (
 	return c, nil
 }
 
-func (c *Client) readLine() (*live.Message, error) {
+func (c *Client) readLine() (*Message, error) {
 	line, err := c.br.ReadSlice('\n')
 	if err == bufio.ErrBufferFull {
 		return nil, fmt.Errorf("stream: line longer than %d bytes", maxLine)
@@ -88,7 +87,7 @@ func (c *Client) readLine() (*live.Message, error) {
 	if err != nil {
 		return nil, err // a torn final line is dropped with the connection
 	}
-	var m live.Message
+	var m Message
 	if err := json.Unmarshal(line, &m); err != nil {
 		return nil, fmt.Errorf("stream: bad line %q: %w", line, err)
 	}
@@ -97,7 +96,7 @@ func (c *Client) readLine() (*live.Message, error) {
 
 // Next blocks for the next update, skipping control lines (keepalive).
 // An evicted notice and the end of the stream are both errors.
-func (c *Client) Next() (*live.Message, error) {
+func (c *Client) Next() (*Message, error) {
 	for {
 		m, err := c.readLine()
 		if err != nil {
@@ -148,7 +147,7 @@ type TailConfig struct {
 // Tail returns nil when ctx ends, ErrStopped (wrapping the cause) when
 // handler returns an error, or the last transport error once the restart
 // budget is exhausted.
-func Tail(ctx context.Context, addr string, query url.Values, cfg TailConfig, handler func(*live.Message) error) error {
+func Tail(ctx context.Context, addr string, query url.Values, cfg TailConfig, handler func(*Message) error) error {
 	sup := resilience.Supervisor{
 		Backoff:     cfg.Backoff,
 		MaxRestarts: cfg.MaxRestarts,

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/live"
 	"repro/internal/resilience"
 )
 
@@ -75,7 +74,7 @@ func TestTailReconnectsThroughFlakyListener(t *testing.T) {
 			flaps++
 			mu.Unlock()
 		},
-	}, func(m *live.Message) error {
+	}, func(m *Message) error {
 		mu.Lock()
 		defer mu.Unlock()
 		seqs = append(seqs, m.Seq)
@@ -141,7 +140,7 @@ func TestTailSkipsControlLinesAndReconnects(t *testing.T) {
 		Backoff:     resilience.Backoff{Base: time.Microsecond, Max: time.Microsecond, Jitter: -1},
 		MaxRestarts: 5,
 		Client:      hc,
-	}, func(m *live.Message) error {
+	}, func(m *Message) error {
 		got = append(got, m.Seq)
 		return nil
 	})
@@ -177,7 +176,7 @@ func TestTailDeliversConcurrentPublishers(t *testing.T) {
 	tailErr := make(chan error, 1)
 	go func() {
 		q := url.Values{"queue": {fmt.Sprint(publishers * each)}}
-		tailErr <- Tail(ctx, srv.Listener.Addr().String(), q, TailConfig{Backoff: tailBackoff()}, func(m *live.Message) error {
+		tailErr <- Tail(ctx, srv.Listener.Addr().String(), q, TailConfig{Backoff: tailBackoff()}, func(m *Message) error {
 			seen[m.Seq]++
 			if len(seen) == publishers*each {
 				cancel()
@@ -243,17 +242,17 @@ func TestTailSurvivesCollectorRestart(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	got := make(chan *live.Message, 16)
+	got := make(chan *Message, 16)
 	tailErr := make(chan error, 1)
 	go func() {
-		tailErr <- Tail(ctx, addr, nil, TailConfig{Backoff: tailBackoff()}, func(m *live.Message) error {
+		tailErr <- Tail(ctx, addr, nil, TailConfig{Backoff: tailBackoff()}, func(m *Message) error {
 			got <- m
 			return nil
 		})
 	}()
-	recv := func(n int) []*live.Message {
+	recv := func(n int) []*Message {
 		t.Helper()
-		out := make([]*live.Message, 0, n)
+		out := make([]*Message, 0, n)
 		for len(out) < n {
 			select {
 			case m := <-got:
@@ -315,7 +314,7 @@ func TestTailBadFilterIsPermanent(t *testing.T) {
 	defer srv.Close()
 
 	err := Tail(context.Background(), srv.Listener.Addr().String(), url.Values{"prefix": {"zzz"}},
-		TailConfig{Backoff: tailBackoff()}, func(*live.Message) error { return nil })
+		TailConfig{Backoff: tailBackoff()}, func(*Message) error { return nil })
 	if err == nil || !resilience.IsPermanent(err) || !strings.Contains(err.Error(), "zzz") {
 		t.Fatalf("Tail = %v, want a permanent error naming the bad prefix", err)
 	}

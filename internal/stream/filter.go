@@ -2,8 +2,9 @@
 // serving plane: a RIS-Live-style fan-out of the retained update feed to
 // many concurrent subscribers, each with its own filter expression and
 // rate limit, delivered as JSON lines over HTTP or consumed in-process,
-// plus the reconnecting client that follows it (Dial, Tail). Messages use
-// internal/live's wire schema (live.Message, including the publish Seq).
+// plus the reconnecting client that follows it (Dial, Tail). The package
+// also owns the wire schema they exchange (Message, message.go), which the
+// /api query endpoints render too.
 // The collection path never blocks on a reader: bounded per-subscriber
 // queues, token-bucket rate limits, and eviction when a subscriber cannot
 // keep up.

@@ -1,7 +1,7 @@
 package stream
 
 // The HTTP face of the hub: GET /stream returns an unbounded
-// application/x-ndjson response, one live.Message JSON object per line,
+// application/x-ndjson response, one Message JSON object per line,
 // RIS-Live style but over plain chunked HTTP so any client with curl can
 // consume it. The filter comes from the query string — either one
 // filter=<expression> parameter in the grammar of ParseFilter, or the

@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"repro/internal/live"
 )
 
 func TestStreamHandlerNDJSON(t *testing.T) {
@@ -69,7 +67,7 @@ func TestStreamHandlerNDJSON(t *testing.T) {
 	if got["type"] != "UPDATE" || got["prefix"] != "203.0.113.0/24" {
 		t.Fatalf("delivered line = %v, want the matching announcement", got)
 	}
-	var m live.Message
+	var m Message
 	b, _ := json.Marshal(got)
 	if err := json.Unmarshal(b, &m); err != nil || m.Seq != 3 {
 		t.Fatalf("delivered message seq = %d (err %v), want 3", m.Seq, err)

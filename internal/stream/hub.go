@@ -5,7 +5,7 @@ package stream
 // decisions:
 //
 //   - Encode once, and only for someone. A published update is rendered
-//     to its live.Message NDJSON line exactly once, by a hand-written
+//     to its Message NDJSON line exactly once, by a hand-written
 //     appender (line.go); every subscriber shares the same *Event (and the
 //     same lazily rendered AS-path string for regex filters). Delivery is
 //     a channel send of one pointer. With no subscriber at all, Publish
@@ -114,7 +114,7 @@ type Event struct {
 	At time.Time
 	// U is the canonical update, for in-process consumers and filters.
 	U *update.Update
-	// JSON is the event's one shared encoding: the live.Message NDJSON
+	// JSON is the event's one shared encoding: the Message NDJSON
 	// line with trailing newline (shared read-only — writers must not
 	// append to it).
 	JSON []byte

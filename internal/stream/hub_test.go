@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/live"
 	"repro/internal/metrics"
 )
 
@@ -73,7 +72,7 @@ func TestHubFilteredFanout(t *testing.T) {
 		if !bytes.HasSuffix(ev.JSON, []byte("\n")) {
 			t.Fatalf("event %d: JSON not newline-terminated", i)
 		}
-		var m live.Message
+		var m Message
 		if err := json.Unmarshal(ev.JSON, &m); err != nil {
 			t.Fatalf("event %d: bad JSON: %v", i, err)
 		}
@@ -273,7 +272,7 @@ func TestHubClose(t *testing.T) {
 
 // TestHubWireGolden pins the exact bytes of an UPDATE line. Stream
 // consumers — bench/scan.go among them — scan these bytes by hand, so a
-// reordered live.Message field or a changed omitempty is a wire break
+// reordered Message field or a changed omitempty is a wire break
 // that must fail here, not at benchmark time.
 func TestHubWireGolden(t *testing.T) {
 	h := NewHub(Config{Shards: 1})

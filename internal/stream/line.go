@@ -3,7 +3,7 @@ package stream
 // The UPDATE line, appended by hand. Publish renders every retained update
 // once, on the collection path, so the line is built straight from the
 // update with strconv and netip appenders instead of through reflection.
-// The bytes are exactly encoding/json's for the live.Message the update
+// The bytes are exactly encoding/json's for the Message the update
 // converts to (field order, omitempty, HTML-safe escaping) plus the NDJSON
 // newline; a string that would need escaping falls back to json.Marshal
 // for that string alone.

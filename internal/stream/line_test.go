@@ -10,14 +10,13 @@ import (
 	"testing/quick"
 	"time"
 
-	"repro/internal/live"
 	"repro/internal/update"
 )
 
 // marshalLine is the reference encoding: encoding/json over the wire
 // schema, plus the NDJSON newline.
 func marshalLine(t testing.TB, u *update.Update, seq uint64) string {
-	m := live.ToMessage(u)
+	m := ToMessage(u)
 	m.Seq = seq
 	b, err := json.Marshal(m)
 	if err != nil {
@@ -86,7 +85,7 @@ func (lineInput) Generate(r *rand.Rand, _ int) reflect.Value {
 }
 
 // TestAppendEventJSONMatchesMarshal: the hand-written appender produces
-// exactly encoding/json's bytes for the live.Message — escaped, control,
+// exactly encoding/json's bytes for the Message — escaped, control,
 // invalid-UTF-8 and line-separator VP names, v4, v6 and mapped prefixes,
 // empty or absent path and communities, withdrawals, seq and trace ID
 // zero and non-zero.
@@ -131,7 +130,7 @@ func unpackUints(b []byte) []uint32 {
 // updates, starting from the golden wire lines.
 func FuzzAppendEventJSON(f *testing.F) {
 	for _, line := range goldenSeeds {
-		var m live.Message
+		var m Message
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			f.Fatal(err)
 		}

@@ -1,8 +1,8 @@
-// Package live is the wire schema of the read side (§9: GILL publishes
-// retained updates in near real time, RIS-Live style): the one JSON
-// object the /stream hub, the /api query endpoints and their clients
-// all exchange. The feed itself lives in internal/stream.
-package live
+package stream
+
+// The wire schema of the read side (§9: GILL publishes retained updates in
+// near real time, RIS-Live style): the one JSON object the /stream hub,
+// the /api query endpoints and their clients all exchange.
 
 import (
 	"fmt"
@@ -55,7 +55,7 @@ func ToMessage(u *update.Update) *Message {
 func (m *Message) ToUpdate() (*update.Update, error) {
 	p, err := netip.ParsePrefix(m.Prefix)
 	if err != nil {
-		return nil, fmt.Errorf("live: bad prefix %q: %w", m.Prefix, err)
+		return nil, fmt.Errorf("stream: bad prefix %q: %w", m.Prefix, err)
 	}
 	u := &update.Update{
 		VP:       m.VP,

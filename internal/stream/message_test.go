@@ -1,4 +1,4 @@
-package live
+package stream
 
 import (
 	"net/netip"
@@ -8,20 +8,15 @@ import (
 	"repro/internal/update"
 )
 
-var t0 = time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
-
-func sampleUpdate(vp string, pfx string) *update.Update {
-	return &update.Update{
-		VP:     vp,
+func TestMessageRoundTrip(t *testing.T) {
+	t0 := time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
+	u := &update.Update{
+		VP:     "vp65001",
 		Time:   t0,
-		Prefix: netip.MustParsePrefix(pfx),
+		Prefix: netip.MustParsePrefix("203.0.113.0/24"),
 		Path:   []uint32{65001, 2, 3},
 		Comms:  []uint32{7},
 	}
-}
-
-func TestMessageRoundTrip(t *testing.T) {
-	u := sampleUpdate("vp65001", "203.0.113.0/24")
 	m := ToMessage(u)
 	got, err := m.ToUpdate()
 	if err != nil {

@@ -44,12 +44,6 @@ type Update struct {
 	// Withdraw marks an explicit route withdrawal (no path).
 	Withdraw bool
 
-	// Redundant tags the update as redundant with another update under
-	// one of the Definitions; set by the collection pipeline's
-	// redundancy stage (informational — filters, not tags, decide what
-	// is archived).
-	Redundant bool
-
 	// TraceID carries the distributed trace ID stamped by the pipeline on
 	// the ~1/1024 sampled updates (zero otherwise). It rides the stream
 	// and serving envelopes so a sampled update's journey is stitchable

@@ -29,11 +29,11 @@ fail() {
 	exit 1
 }
 
-echo "serve-smoke: building gill-daemon, gill-tail, gill-query, servefeed"
+echo "serve-smoke: building gill-daemon, gill-tail, gill-query, smokefeed"
 $GO build -o "$dir/gill-daemon" ./cmd/gill-daemon
 $GO build -o "$dir/gill-tail" ./cmd/gill-tail
 $GO build -o "$dir/gill-query" ./cmd/gill-query
-$GO build -o "$dir/servefeed" ./scripts/servefeed
+$GO build -o "$dir/smokefeed" ./scripts/smokefeed
 
 # Tiny segments (4 records each) so the feeder rolls the journal through
 # many sealed segments and the seal-time index path gets exercised.
@@ -76,7 +76,7 @@ curl -fsS "http://$addr/statusz" | grep -q '"stream_subscribers": 1' ||
 
 # Feed: 24 announcements of the subscribed prefix from peer 1, 24 of the
 # decoy prefix from peer 2 — 48 records through 4-record WAL segments.
-"$dir/servefeed" -addr "$bgp" -updates 24 || fail "servefeed failed"
+"$dir/smokefeed" -addr "$bgp" -pre 24 || fail "smokefeed failed"
 
 # The subscriber must have received its prefix and never the decoy.
 i=0

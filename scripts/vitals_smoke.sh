@@ -27,10 +27,10 @@ fail() {
 	exit 1
 }
 
-echo "vitals-smoke: building gill-daemon, gill-query, vitalsfeed"
+echo "vitals-smoke: building gill-daemon, gill-query, smokefeed"
 $GO build -o "$dir/gill-daemon" ./cmd/gill-daemon
 $GO build -o "$dir/gill-query" ./cmd/gill-query
-$GO build -o "$dir/vitalsfeed" ./scripts/vitalsfeed
+$GO build -o "$dir/smokefeed" ./scripts/smokefeed
 
 # Tight vitals windows so the outage classifies within the run: evaluate
 # every 200ms, a VP is silent after 1.5s without updates, and any archive
@@ -78,8 +78,9 @@ wait_state() { # vp  want  tries  what
 }
 
 # The feeder runs its own timeline in the background: both peers feed for
-# 2s, peer 2 goes silent for 4s with its session up, then resumes for 3s.
-"$dir/vitalsfeed" -addr "$bgp" -rate 20 -pre 2s -outage 4s -post 3s \
+# 2s (40 rounds at 20/s), peer 2 goes silent for 4s with its session up,
+# then resumes for 3s (60 rounds).
+"$dir/smokefeed" -addr "$bgp" -rate 20 -pre 40 -outage 4s -post 60 \
 	>"$dir/feed.log" 2>&1 &
 fpid=$!
 
@@ -98,7 +99,7 @@ echo "vitals-smoke: vp65002 silent while its session stayed up, vp65001 unharmed
 wait_state vp65002 live 60 "vp65002 never recovered after the feed resumed"
 echo "vitals-smoke: vp65002 recovered"
 
-wait "$fpid" || fail "vitalsfeed failed: $(cat "$dir/feed.log")"
+wait "$fpid" || fail "smokefeed failed: $(cat "$dir/feed.log")"
 
 # The aggregate vitals series must export on /metrics, and the per-VP
 # drill-down rows on /vitalz?format=prom.
