@@ -143,15 +143,18 @@ bench-codec:
 # lazy paths must agree, re-encoding must be a byte-stable fixed point),
 # the MRT record parser, the /stream filter grammar (every accepted
 # filter's String() must parse back to the same filter), the /stream
-# line appender (byte-identical to encoding/json), and the index log
-# replay (arbitrary gillidx.json bytes never fail Open/Sync or invent a
-# segment). Longer campaigns: raise -fuzztime.
+# line appender (byte-identical to encoding/json), the index log replay
+# (arbitrary gillidx.json bytes never fail Open/Sync or invent a segment)
+# and WAL segment recovery (arbitrary segment bytes repair to a sealed
+# file holding exactly the records recovery delivered, idempotently).
+# Longer campaigns: raise -fuzztime.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzUnmarshal -fuzztime 5s ./internal/bgp/
 	$(GO) test -run xxx -fuzz FuzzReadRecord -fuzztime 5s ./internal/mrt/
 	$(GO) test -run xxx -fuzz FuzzParseFilter -fuzztime 5s ./internal/stream/
 	$(GO) test -run xxx -fuzz FuzzAppendEventJSON -fuzztime 5s ./internal/stream/
 	$(GO) test -run xxx -fuzz FuzzIndexOpen -fuzztime 5s ./internal/index/
+	$(GO) test -run xxx -fuzz FuzzRecoverSegment -fuzztime 5s ./internal/archive/
 
 # bench-guard is the perf-trajectory gate: regenerate BENCH_fabric.json,
 # BENCH_serve.json and BENCH_codec.json on this machine and fail if any
@@ -166,7 +169,10 @@ bench-guard:
 # the way the driver does — each workload timed and traced, against the
 # real gill-daemon — and fails on a non-zero exit or a run whose ledger
 # check says "correct":false. BENCH_SEED picks the input seed; the last
-# line of every run (the contract's JSON) is printed.
+# line of every run (the contract's JSON) is printed. A run that used the
+# closed loop's whole tag space (attempted = 200 000 tags/s × 35 s) gets a
+# warning and its per-slice line: its goodput and CPU per update then
+# read the idle tail of the run.
 BENCH_SEED ?= 1
 bench-e2e:
 	@for w in steady burst saturate; do for tr in 0 1; do \
@@ -176,6 +182,10 @@ bench-e2e:
 		echo "$$out" | tail -n 1; \
 		echo "$$out" | tail -n 1 | grep -q '"correct":true' || \
 			{ echo "bench-e2e: FAIL: $$w trace=$$tr is not correct"; exit 1; }; \
+		if echo "$$out" | tail -n 1 | grep -q '"attempted":7000000[,}]'; then \
+			echo "bench-e2e: WARN: $$w used its whole tag space — goodput_upd_per_s and daemon_cpu_us_per_upd read the empty tail"; \
+			echo "$$out" | grep 'by slice:' || true; \
+		fi; \
 	done; done
 
 # bench-profile runs one workload of the wire-to-subscriber benchmark

@@ -1,15 +1,18 @@
 // Command gill-daemon runs one GILL collection daemon: it accepts BGP
 // peering sessions, applies a filter set, and archives retained updates in
-// (optionally gzip-compressed) MRT.
+// MRT.
 //
 // Usage:
 //
 //	gill-daemon -listen :1790 -as 65000 -router-id 192.0.2.1 \
-//	    -filters filters.txt -out updates.mrt.gz -stats 10s -admin 127.0.0.1:8471
+//	    -filters filters.txt -wal ./wal -admin 127.0.0.1:8471
 //
-// A -wal directory adds a crash-safe record journal (recovered and
-// repaired on startup) plus the serving plane's skip-index over its
-// segments. The -admin flag serves the operator plane
+// The -wal directory is the update database (§9): a crash-safe record
+// journal, recovered and repaired on startup, plus the serving plane's
+// skip-index over its segments. -out additionally writes the retained
+// records as one MRT stream (gzip-compressed for a .gz name) for
+// RouteViews-style tools, and -rib-out dumps the RIB every -rib-every.
+// The -admin flag serves the operator plane
 // (/metrics, /statusz, /healthz, /readyz, /tracez, /debug/pprof/) and,
 // when a WAL is configured, the query API under /api/ and the filtered
 // NDJSON live stream on /stream — bind it to loopback or an operator
@@ -50,12 +53,9 @@ func main() {
 		routerID     = flag.String("router-id", "192.0.2.1", "collector BGP identifier (IPv4)")
 		filters      = flag.String("filters", "", "filter file produced by the orchestrator (empty: collect everything)")
 		out          = flag.String("out", "", "MRT output file (.gz for compression; empty: discard)")
-		archDir      = flag.String("archive", "", "rotating MRT archive directory (the §9 database; overrides -out)")
 		ribEvery     = flag.Duration("rib-every", daemon.RIBDumpInterval, "RIB dump interval")
 		ribOut       = flag.String("rib-out", "", "RIB dump file prefix (empty: no dumps)")
 		stats        = flag.Duration("stats", 30*time.Second, "stats reporting interval")
-		shards       = flag.Int("shards", 0, "ingest pipeline shards (0: default)")
-		batch        = flag.Int("batch", 0, "ingest pipeline batch size (0: default)")
 		walDir       = flag.String("wal", "", "crash-safe record journal directory (recovered on startup)")
 		walRot       = flag.Int("wal-rotate", 0, "records per journal segment before rotation (0: default)")
 		filtTTL      = flag.Duration("filter-ttl", 0, "degrade to retain-everything when filters go stale (0: never)")
@@ -163,21 +163,12 @@ func main() {
 		RouterID:  rid,
 		Filters:   fs,
 		Out:       w,
-		Shards:    *shards,
-		BatchSize: *batch,
 		Registry:  reg,
 		FilterTTL: *filtTTL,
 		Log:       logg,
 		Tracer:    rec,
 		Quality:   qp,
 		Vitals:    tracker,
-	}
-	var store *archive.Store
-	if *archDir != "" {
-		store, err = archive.Open(*archDir, archive.DefaultRotation)
-		if err != nil {
-			fatal("opening archive", "err", err)
-		}
 	}
 	var wal *archive.Journal
 	var ix *index.Service
@@ -199,6 +190,7 @@ func main() {
 			fatal("opening wal", "err", err)
 		}
 		wal.Registry = reg
+		cfgD.RecordSink = wal.AppendBatch
 		// The serving plane's skip-index: Sync (inside NewService) picks up
 		// the recovered segments — rescanning any the repair truncated —
 		// and the segment follower keeps it (and the gap audit) current as
@@ -220,22 +212,6 @@ func main() {
 			}
 		}
 	}
-	switch {
-	case store != nil && wal != nil:
-		cfgD.RecordSink = func(recs [][]byte) (int, error) {
-			n, err := wal.AppendBatch(recs)
-			m, serr := store.AppendBatch(recs[:n])
-			if err == nil {
-				err = serr
-			}
-			return m, err
-		}
-	case store != nil:
-		cfgD.RecordSink = store.AppendBatch
-	case wal != nil:
-		cfgD.RecordSink = wal.AppendBatch
-	}
-
 	// The live feed: retained updates go to the admin plane's NDJSON
 	// stream hub. Publish never blocks, so it is safe on the collection
 	// path.
@@ -388,7 +364,7 @@ func main() {
 			}
 		}()
 	}
-	if (*ribOut != "" || store != nil) && *ribEvery > 0 {
+	if *ribOut != "" && *ribEvery > 0 {
 		go func() {
 			t := time.NewTicker(*ribEvery)
 			defer t.Stop()
@@ -398,12 +374,6 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-t.C:
-					if store != nil {
-						if err := store.WriteRIB(time.Now(), d.DumpRIB); err != nil {
-							logm.Warn("rib dump failed", "err", err)
-						}
-						continue
-					}
 					name := fmt.Sprintf("%s.%d.mrt", *ribOut, n)
 					f, err := os.Create(name)
 					if err != nil {
@@ -423,7 +393,7 @@ func main() {
 	// Shutdown ordering: Serve returns only after every peering session
 	// handler has finished, so Close sees all in-flight updates; Close
 	// drains the pipeline queues and flushes the archive stage (including
-	// the gzip stream) before the store and the output file are closed.
+	// the gzip stream) before the journal and the output file are closed.
 	err = d.Serve(ctx, ln)
 	logm.Info("shutting down, draining ingest pipeline")
 	if cerr := d.Close(); cerr != nil {
@@ -431,11 +401,6 @@ func main() {
 	}
 	if hub != nil {
 		hub.Close()
-	}
-	if store != nil {
-		if cerr := store.Close(); cerr != nil {
-			logm.Error("archive close failed", "err", cerr)
-		}
 	}
 	if wal != nil {
 		if cerr := wal.Close(); cerr != nil {

@@ -1,15 +1,10 @@
 // Command gill-query is the serving plane's CLI: it answers range
-// queries and reconstructs routing state from a GILL daemon's archives,
-// in three modes.
+// queries and reconstructs routing state from a GILL daemon's archive,
+// in two modes.
 //
-// Legacy store mode reads the §9 database of rotating MRT files:
-//
-//	gill-query -dir ./archive -from 2023-09-01T00:00:00Z -to 2023-09-01T06:00:00Z
-//	gill-query -dir ./archive -list            # inventory of archive files
-//	gill-query -dir ./archive -from ... -to ... -vp vp65001 -count
-//
-// WAL mode queries the crash-safe record journal through its skip-index
-// (built incrementally by the daemon, rebuildable offline):
+// WAL mode queries the daemon's -wal directory — the crash-safe record
+// journal that is the §9 database — through its skip-index (built
+// incrementally by the daemon, rebuildable offline):
 //
 //	gill-query -wal ./wal -stats               # index inventory
 //	gill-query -wal ./wal -rebuild             # rebuild the index by scanning
@@ -23,7 +18,7 @@
 //	gill-query -http 127.0.0.1:8471 -stats
 //	gill-query -http 127.0.0.1:8471 -rib -at now -prefix 203.0.113.0/24
 //
-// Both WAL and HTTP modes also answer archive-health questions: -gaps
+// Both modes also answer archive-health questions: -gaps
 // audits per-VP coverage (offline by replaying the journal, online by
 // asking the daemon's /vitalz):
 //
@@ -42,7 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/archive"
 	"repro/internal/index"
 	"repro/internal/stream"
 	"repro/internal/update"
@@ -51,36 +45,26 @@ import (
 
 func main() {
 	var (
-		dir      = flag.String("dir", "", "legacy archive directory (rotating MRT store)")
 		walDir   = flag.String("wal", "", "record journal directory (indexed WAL segments)")
 		httpAddr = flag.String("http", "", "admin-plane host:port of a running daemon")
 		from     = flag.String("from", "", "range start (RFC 3339)")
 		to       = flag.String("to", "", "range end (RFC 3339)")
 		at       = flag.String("at", "", "RIB reconstruction time (RFC 3339; HTTP mode also unix seconds or \"now\")")
 		vp       = flag.String("vp", "", "restrict to one vantage point")
-		prefix   = flag.String("prefix", "", "restrict to one prefix (WAL and HTTP modes)")
+		prefix   = flag.String("prefix", "", "restrict to one prefix")
 		rib      = flag.Bool("rib", false, "reconstruct routing state at -at instead of listing updates")
 		stats    = flag.Bool("stats", false, "print the index inventory")
 		rebuild  = flag.Bool("rebuild", false, "rebuild the index by scanning every segment (WAL mode)")
-		list     = flag.Bool("list", false, "list archive files instead of querying (store mode)")
 		count    = flag.Bool("count", false, "print only the number of matching updates")
-		gaps     = flag.Bool("gaps", false, "audit per-VP archive coverage and report gaps (WAL and HTTP modes)")
+		gaps     = flag.Bool("gaps", false, "audit per-VP archive coverage and report gaps")
 		gapMin   = flag.Duration("gap-min", 5*time.Minute, "smallest inter-record spacing reported as a gap (WAL -gaps)")
 	)
 	flag.Parse()
 
-	modes := 0
-	for _, set := range []bool{*dir != "", *walDir != "", *httpAddr != ""} {
-		if set {
-			modes++
-		}
-	}
-	if modes != 1 {
-		log.Fatal("gill-query: exactly one of -dir, -wal, -http is required")
+	if (*walDir == "") == (*httpAddr == "") {
+		log.Fatal("gill-query: exactly one of -wal, -http is required")
 	}
 	switch {
-	case *dir != "":
-		storeMode(*dir, *from, *to, *vp, *list, *count)
 	case *walDir != "":
 		if *gaps {
 			gapsWALMode(*walDir, *vp, *gapMin)
@@ -93,56 +77,6 @@ func main() {
 			return
 		}
 		httpMode(*httpAddr, *from, *to, *at, *vp, *prefix, *rib, *stats, *count)
-	}
-}
-
-// storeMode is the legacy rotating-MRT-store reader, unchanged behavior.
-func storeMode(dir, from, to, vp string, list, count bool) {
-	store, err := archive.Open(dir, archive.DefaultRotation)
-	if err != nil {
-		log.Fatalf("gill-query: %v", err)
-	}
-	defer store.Close()
-
-	if list {
-		files, err := store.Files()
-		if err != nil {
-			log.Fatalf("gill-query: %v", err)
-		}
-		for _, f := range files {
-			fmt.Printf("%s  window %s  %d bytes\n", f.Name, f.Start.Format(time.RFC3339), f.Size)
-		}
-		ribs, _ := store.RIBs()
-		for _, r := range ribs {
-			fmt.Println(r)
-		}
-		return
-	}
-
-	start, err := time.Parse(time.RFC3339, from)
-	if err != nil {
-		log.Fatalf("gill-query: bad -from: %v", err)
-	}
-	end, err := time.Parse(time.RFC3339, to)
-	if err != nil {
-		log.Fatalf("gill-query: bad -to: %v", err)
-	}
-	us, err := store.Query(start, end)
-	if err != nil {
-		log.Fatalf("gill-query: %v", err)
-	}
-	n := 0
-	for _, u := range us {
-		if vp != "" && u.VP != vp {
-			continue
-		}
-		n++
-		if !count {
-			printUpdate(u)
-		}
-	}
-	if count {
-		fmt.Println(n)
 	}
 }
 

@@ -1,18 +1,20 @@
-package archive
-
-// Crash-safe segment format. The rotating gzip MRT files of the Store are
-// compact but fragile: a daemon killed mid-write leaves a gzip stream with
-// no terminator and an MRT record cut mid-body, and everything after the
-// last flush is unreadable. GILL's premise is that the non-redundant
-// updates a VP sends exist nowhere else (§4, §7) — losing an archive tail
-// to a crash is exactly the loss the platform exists to prevent. Segments
-// are the write-ahead form of the archive: length-prefixed CRC-framed
-// records, a per-segment trailer written on rotation, an fsync of every
-// rotated-out segment off the append path, and a recovery routine that
+// Package archive is GILL's on-disk update database (§9): a rotating
+// journal of crash-safe segment files holding the retained updates as MRT
+// records. The daemon recovers it on startup, the index package builds the
+// serving plane's skip-index over its sealed segments (/api/query,
+// /api/rib), and the vitals gap auditor replays it. The paper publishes
+// this data at bgproutes.io together with the computed filters and anchor
+// list so users know exactly which bits are missing.
+//
+// GILL's premise is that the non-redundant updates a VP sends exist
+// nowhere else (§4, §7) — losing an archive tail to a crash is exactly the
+// loss the platform exists to prevent. So records are length-prefixed and
+// CRC-framed, a per-segment trailer is written on rotation, every
+// rotated-out segment is fsynced off the append path, and recovery
 // truncates a torn tail in place and reports exactly how many records were
 // recovered vs. lost.
 //
-// Layout:
+// Segment layout:
 //
 //	header : 8 bytes magic "GILLSEG1"
 //	frame  : u32 length | payload | u32 CRC32-C(payload)
@@ -20,6 +22,7 @@ package archive
 //
 // A zero length marks the trailer, so recovery can tell a sealed segment
 // (clean shutdown or prior repair) from one torn by a crash.
+package archive
 
 import (
 	"bufio"
@@ -305,13 +308,14 @@ func RecoverSegment(path string, fn func(payload []byte) error) (RecoverStats, e
 	defer f.Close()
 
 	hdr := make([]byte, len(segmentMagic))
-	if _, err := io.ReadFull(f, hdr); err != nil {
-		// Shorter than a header: nothing recoverable; normalize to an empty
-		// sealed segment (repairSegment rewrites the magic for good < header).
-		return stats, repairSegment(f, 0, 0, 0, &stats, true)
-	}
-	if string(hdr) != segmentMagic {
+	n, err := io.ReadFull(f, hdr)
+	if string(hdr[:n]) != segmentMagic[:n] {
 		return stats, fmt.Errorf("%w: %s", ErrNotSegment, path)
+	}
+	if err != nil {
+		// A torn header: nothing recoverable; normalize to an empty sealed
+		// segment (repairSegment rewrites the magic for good < header).
+		return stats, repairSegment(f, 0, 0, 0, &stats, true)
 	}
 
 	good := int64(len(segmentMagic)) // end of the intact prefix
@@ -461,8 +465,8 @@ func repairSegment(f *os.File, good int64, count, crc uint32, stats *RecoverStat
 	return f.Sync()
 }
 
-// Journal is a rotating crash-safe segment store for MRT records: the
-// write-ahead half of the archive. Records are framed with CRCs and reach
+// Journal is the archive's writer: a rotating crash-safe segment store for
+// MRT records. Records are framed with CRCs and reach
 // the OS before Append or AppendBatch returns, one write(2) per call and
 // segment touched — a crash mid-write tears a batch the way it tears a
 // record: a torn tail, cut by recovery. A rotation writes the old segment's

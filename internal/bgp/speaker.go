@@ -44,6 +44,7 @@ type Session struct {
 	mu      sync.Mutex
 	sendErr error
 	closed  bool
+	closing chan struct{} // closed by Close: the read loop stops handing over updates
 	done    chan struct{}
 	err     error
 }
@@ -74,7 +75,9 @@ func (s *Session) Send(u *Update) error {
 	return s.w.Flush()
 }
 
-// Close tears the session down with a Cease notification.
+// Close tears the session down with a Cease notification. The session
+// ends (Done closes) whether or not anyone still reads Updates; an update
+// the read loop had not yet handed over is dropped.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -82,6 +85,7 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.closing)
 	_ = WriteMessage(s.w, &Notification{Code: NotifCease})
 	_ = s.w.Flush()
 	s.mu.Unlock()
@@ -122,6 +126,7 @@ func Establish(ctx context.Context, conn net.Conn, cfg SpeakerConfig) (*Session,
 		w:       bufio.NewWriter(conn),
 		updates: make(chan *Update, 1024),
 		fsm:     NewFSM(),
+		closing: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	s.fsm.Step(EventManualStart)
@@ -234,7 +239,15 @@ func (s *Session) readLoop(r *bufio.Reader, hold uint16) {
 		switch m := msg.(type) {
 		case *Update:
 			s.fsm.Step(EventUpdateReceived)
-			s.updates <- m
+			select {
+			case s.updates <- m:
+			case <-s.closing:
+				// Closed with nobody draining Updates: the loop would
+				// otherwise park here forever, short of its next read.
+				s.fsm.Step(EventTCPFailed)
+				s.err = net.ErrClosed
+				return
+			}
 			next = new(Update)
 		case *Keepalive:
 			s.fsm.Step(EventKeepaliveReceived)

@@ -144,6 +144,45 @@ func TestSessionCloseSendsNotification(t *testing.T) {
 	}
 }
 
+// TestCloseWithUndrainedUpdates: a session whose Updates nobody reads any
+// more still ends on Close. The read loop is parked handing an update to
+// the full channel, short of the read that Close's conn.Close would fail;
+// Done must close and Err must report it anyway.
+func TestCloseWithUndrainedUpdates(t *testing.T) {
+	collector, peer := pairSessions(t)
+	go func() {
+		for i := 0; i < 3000; i++ {
+			u := &Update{
+				Origin:  OriginIGP,
+				ASPath:  []uint32{65001},
+				NextHop: netip.MustParseAddr("192.0.2.1"),
+				NLRI:    []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
+			}
+			if err := peer.Send(u); err != nil {
+				return
+			}
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(collector.Updates()) < cap(collector.Updates()) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Updates holds %d of %d after 10 s", len(collector.Updates()), cap(collector.Updates()))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := collector.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case <-collector.Done():
+		if collector.Err() == nil {
+			t.Error("Err is nil after Close")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Done still open 2 s after Close: the read loop is parked on Updates")
+	}
+}
+
 // rawServer accepts one TCP connection and runs fn over it.
 func rawServer(t *testing.T, fn func(net.Conn)) string {
 	t.Helper()

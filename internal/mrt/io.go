@@ -178,12 +178,3 @@ func (a *ArchiveWriter) Close() error {
 	}
 	return nil
 }
-
-// NewArchiveReader layers gzip decompression over r.
-func NewArchiveReader(r io.Reader) (*Reader, error) {
-	gz, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return NewReader(gz), nil
-}

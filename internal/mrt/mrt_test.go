@@ -2,6 +2,7 @@ package mrt
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"io"
 	"net/netip"
@@ -176,10 +177,11 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if err := aw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	ar, err := NewArchiveReader(&buf)
+	gz, err := gzip.NewReader(&buf)
 	if err != nil {
-		t.Fatalf("NewArchiveReader: %v", err)
+		t.Fatalf("gzip.NewReader: %v", err)
 	}
+	ar := NewReader(gz)
 	n := 0
 	for {
 		_, err := ar.ReadRecord()

@@ -55,8 +55,6 @@ const (
 	// DropNewest discards the incoming update (the daemon's Table 1
 	// semantics: never stall the BGP session).
 	DropNewest
-	// DropOldest evicts the oldest queued update to admit the new one.
-	DropOldest
 )
 
 // String implements fmt.Stringer.
@@ -66,8 +64,6 @@ func (p Policy) String() string {
 		return "block"
 	case DropNewest:
 		return "drop-newest"
-	case DropOldest:
-		return "drop-oldest"
 	default:
 		return "unknown"
 	}
@@ -360,23 +356,6 @@ func (p *Pipeline) Ingest(u *update.Update) bool {
 			p.drop.Inc()
 			tr.Finish(telemetry.VerdictOverflow, time.Since(it.enq))
 			return false
-		}
-	case DropOldest:
-		for {
-			select {
-			case q <- it:
-				return true
-			default:
-			}
-			// Full: evict one queued update and retry. The worker may win
-			// the race and drain it first, in which case the retry simply
-			// succeeds without an eviction.
-			select {
-			case old := <-q:
-				p.drop.Inc()
-				old.tr.Finish(telemetry.VerdictEvicted, time.Since(old.enq))
-			default:
-			}
 		}
 	default: // Block
 		q <- it

@@ -174,49 +174,6 @@ func TestOverflowDropNewest(t *testing.T) {
 	}
 }
 
-func TestOverflowDropOldest(t *testing.T) {
-	p, gate, coll := startGated(t, 2, DropOldest)
-	defer p.Close()
-
-	us := []*update.Update{mkUpdate(1), mkUpdate(2), mkUpdate(3), mkUpdate(4), mkUpdate(5)}
-	p.Ingest(us[0])
-	<-gate.entered // worker parked on u1
-	p.Ingest(us[1])
-	p.Ingest(us[2])
-	// Queue full with {u2, u3}: each new ingest evicts the head.
-	if !p.Ingest(us[3]) { // evicts u2
-		t.Error("DropOldest refused an update")
-	}
-	if !p.Ingest(us[4]) { // evicts u3
-		t.Error("DropOldest refused an update")
-	}
-
-	for i := 0; i < 3; i++ {
-		gate.release <- struct{}{}
-	}
-	<-gate.entered
-	<-gate.entered
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	snap := p.Snapshot()
-	if snap.Dropped != 2 {
-		t.Errorf("dropped %d, want exactly 2", snap.Dropped)
-	}
-	got := coll.prefixes()
-	for _, u := range []*update.Update{us[0], us[3], us[4]} {
-		if !got[u.Prefix] {
-			t.Errorf("update %v lost under DropOldest, should survive", u.Prefix)
-		}
-	}
-	for _, u := range us[1:3] {
-		if got[u.Prefix] {
-			t.Errorf("oldest queued update %v survived under DropOldest", u.Prefix)
-		}
-	}
-}
-
 func TestIngestAfterCloseIsCountedDropped(t *testing.T) {
 	p := New(Config{Shards: 2, QueueSize: 8}, &collectStage{})
 	_ = p.Start(context.Background())
@@ -284,7 +241,7 @@ func TestAccountingProperty(t *testing.T) {
 			Shards:    int(shards%8) + 1,
 			QueueSize: int(queue%64) + 1,
 			BatchSize: int(batch%16) + 1,
-			Overflow:  Policy(pol % 3),
+			Overflow:  Policy(pol % 2),
 		}
 		count := int(n % 2000)
 		st1 := &countStage{name: "a", dropMod: 3}
@@ -398,7 +355,7 @@ func TestPerShardOrderPreserved(t *testing.T) {
 
 func TestPolicyString(t *testing.T) {
 	for pol, want := range map[Policy]string{
-		Block: "block", DropNewest: "drop-newest", DropOldest: "drop-oldest", Policy(9): "unknown",
+		Block: "block", DropNewest: "drop-newest", Policy(9): "unknown",
 	} {
 		if got := pol.String(); got != want {
 			t.Errorf("Policy(%d).String() = %q, want %q", pol, got, want)
@@ -429,6 +386,6 @@ func TestMetricsRegistryExposure(t *testing.T) {
 }
 
 func ExamplePolicy() {
-	fmt.Println(Block, DropNewest, DropOldest)
-	// Output: block drop-newest drop-oldest
+	fmt.Println(Block, DropNewest)
+	// Output: block drop-newest
 }

@@ -140,33 +140,6 @@ func TestPipelineTraceVerdictOverflow(t *testing.T) {
 	}
 }
 
-func TestPipelineTraceVerdictEvicted(t *testing.T) {
-	rec := telemetry.NewRecorder(64, 1)
-	g := newGateStage()
-	p := New(Config{Shards: 1, QueueSize: 1, BatchSize: 1, Overflow: DropOldest, Tracer: rec}, g)
-	if err := p.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p.Ingest(mkUpdate(1))
-	<-g.entered
-	p.Ingest(mkUpdate(2)) // queued
-	p.Ingest(mkUpdate(3)) // evicts #2
-	found := false
-	for _, tr := range rec.Last(8) {
-		if tr.Verdict == telemetry.VerdictEvicted {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no evicted verdict recorded: %+v", rec.Last(8))
-	}
-	g.release <- struct{}{}
-	g.release <- struct{}{}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPipelineTraceVerdictClosed(t *testing.T) {
 	rec := telemetry.NewRecorder(64, 1)
 	p := New(Config{Tracer: rec})

@@ -26,7 +26,8 @@ import (
 // are optional: a nil Registry renders an empty /metrics, a nil Recorder
 // an empty /tracez, a nil Ready means always ready.
 type Admin struct {
-	// Registry supplies /metrics and the histogram summary on /statusz.
+	// Registry supplies /metrics (Prometheus text, or JSON for
+	// ?format=json) and the histogram summary on /statusz.
 	Registry *metrics.Registry
 	// Recorder supplies /tracez.
 	Recorder *Recorder
@@ -154,7 +155,21 @@ func (a *Admin) buildLabels() map[string]string {
 	return BuildInfo()
 }
 
+// metricsHandler serves the registry as Prometheus text or, for
+// ?format=json, as promSnapshot's JSON (the form the fleet federator
+// scrapes; build_info is a text-only series).
 func (a *Admin) metricsHandler(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("format") == "json" {
+		var snap metrics.Snapshot
+		if a.Registry != nil {
+			snap = a.Registry.Snapshot()
+		}
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		if err := json.NewEncoder(w).Encode(promSnapshot(snap)); err != nil {
+			a.Log.Debug("metrics render aborted", "err", err)
+		}
+		return
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if err := WritePromInfo(w, "build_info", a.buildLabels()); err != nil {
 		a.Log.Debug("metrics render aborted", "err", err)

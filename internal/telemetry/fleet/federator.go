@@ -1,3 +1,12 @@
+// Package fleet is the coordinator-side observability plane over a
+// federated collector fleet (the paper's ~2500-VP deployment cannot be
+// operated through per-process /metrics pages): it scrapes each
+// registered collector's admin /metrics?format=json — the registry
+// snapshot under the names its Prometheus text uses — serves fleet-wide
+// rollups (summed counters, bucket-union-merged histograms, per-collector
+// staleness markers) on /fleet/metrics, stitches cross-process traces on
+// /fleet/tracez, and evaluates declarative SLOs with multi-window
+// burn-rate alerts on /alertz.
 package fleet
 
 import (
@@ -272,7 +281,7 @@ func (f *Federator) ScrapeOnce(ctx context.Context) {
 	}
 }
 
-// scrape fetches and parses one collector's /metrics.
+// scrape fetches and decodes one collector's /metrics?format=json.
 func (f *Federator) scrape(ctx context.Context, t Target) (metrics.Snapshot, error) {
 	f.scrapes.Inc()
 	if t.AdminAddr == "" {
@@ -283,7 +292,7 @@ func (f *Federator) scrape(ctx context.Context, t Target) (metrics.Snapshot, err
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+t.AdminAddr+"/metrics", nil)
+		"http://"+t.AdminAddr+"/metrics?format=json", nil)
 	if err != nil {
 		f.scrapeErrors.Inc()
 		return metrics.Snapshot{}, err
@@ -299,13 +308,37 @@ func (f *Federator) scrape(ctx context.Context, t Target) (metrics.Snapshot, err
 		io.Copy(io.Discard, resp.Body)
 		return metrics.Snapshot{}, fmt.Errorf("fleet: scrape %s: HTTP %d", t.ID, resp.StatusCode)
 	}
-	snap, err := ParseProm(resp.Body)
-	if err != nil {
+	var snap metrics.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		f.scrapeErrors.Inc()
-		return metrics.Snapshot{}, err
+		return metrics.Snapshot{}, fmt.Errorf("fleet: scrape %s: decoding: %w", t.ID, err)
+	}
+	if err := checkHistograms(snap); err != nil {
+		f.scrapeErrors.Inc()
+		return metrics.Snapshot{}, fmt.Errorf("fleet: scrape %s: %w", t.ID, err)
 	}
 	f.scrapeNS.Observe(uint64(f.cfg.Clock().Sub(start).Nanoseconds()))
 	return snap, nil
+}
+
+// checkHistograms rejects a scraped histogram whose shape the rollup's
+// bucket-union merge, /fleet/metrics and the latency objectives index
+// by: strictly ascending bounds and one count per bound plus the
+// overflow bucket. Count is not checked against the bucket total — a
+// collector snapshotting under concurrent Observe calls may see a bucket
+// before the count that goes with it.
+func checkHistograms(s metrics.Snapshot) error {
+	for name, h := range s.Histograms {
+		if len(h.Counts) != len(h.Bounds)+1 {
+			return fmt.Errorf("histogram %s: %d counts for %d bounds", name, len(h.Counts), len(h.Bounds))
+		}
+		for i := 1; i < len(h.Bounds); i++ {
+			if h.Bounds[i] <= h.Bounds[i-1] {
+				return fmt.Errorf("histogram %s: bounds not strictly ascending at %d", name, h.Bounds[i])
+			}
+		}
+	}
+	return nil
 }
 
 // scrapeVitals fetches and decodes one collector's /vitalz.

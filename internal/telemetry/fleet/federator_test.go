@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -11,6 +13,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // fakeCollector is one scrapeable admin endpoint whose reachability the
@@ -24,42 +27,166 @@ type fakeCollector struct {
 func newFakeCollector(t *testing.T) *fakeCollector {
 	t.Helper()
 	fc := &fakeCollector{reg: metrics.NewRegistry()}
+	// Serve through the production admin plane.
+	admin := (&telemetry.Admin{Registry: fc.reg}).Handler()
 	fc.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if fc.down.Load() {
 			http.Error(w, "partitioned", http.StatusBadGateway)
 			return
 		}
-		w.Header().Set("Content-Type", "text/plain")
-		// Render through the production exporter path.
-		snap := fc.reg.Snapshot()
-		writeSnapshot(w, snap)
+		admin.ServeHTTP(w, r)
 	}))
 	t.Cleanup(fc.srv.Close)
 	return fc
 }
 
-func writeSnapshot(w http.ResponseWriter, snap metrics.Snapshot) {
-	for name, v := range snap.Counters {
-		_, _ = w.Write([]byte("# TYPE " + name + " counter\n" + name + " " +
-			uitoa(v) + "\n"))
-	}
-}
-
-func uitoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
-}
-
 func (fc *fakeCollector) addr() string { return strings.TrimPrefix(fc.srv.URL, "http://") }
+
+// TestScrapeIsExact: what the federator keeps from one scrape of a live
+// admin plane is the collector's registry snapshot, exactly, under the
+// names its Prometheus text renders — counters, gauges (GaugeFuncs
+// included) and every histogram bucket, with a sanitized-name collision
+// resolved the way the text resolves it.
+func TestScrapeIsExact(t *testing.T) {
+	fc := newFakeCollector(t)
+	fc.reg.Counter("daemon.pipeline.in").Add(12345)
+	fc.reg.Counter("daemon.pipeline.dropped").Add(7)
+	fc.reg.Gauge("daemon.queue_depth").Set(-3)
+	fc.reg.GaugeFunc("daemon.sessions", func() int64 { return 42 })
+	fc.reg.Counter("x.y").Add(1) // sorts first, so it keeps the name x_y
+	fc.reg.Counter("x_y").Add(2)
+	h := fc.reg.Histogram("daemon.pipeline.e2e_latency_ns", metrics.ExpBuckets(1000, 4, 8))
+	for _, v := range []uint64{500, 3000, 70_000, 1 << 30} {
+		h.Observe(v)
+	}
+	f, err := NewFederator(Config{Targets: func() []Target {
+		return []Target{{ID: "c1", AdminAddr: fc.addr(), Connected: true}}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ScrapeOnce(context.Background())
+	snaps, _ := f.snapshots()
+	got, ok := snaps["c1"]
+	if !ok {
+		t.Fatalf("no snapshot kept; health %+v", f.Health())
+	}
+	want := metrics.Snapshot{
+		Counters: map[string]uint64{"daemon_pipeline_in": 12345, "daemon_pipeline_dropped": 7, "x_y": 1},
+		Gauges:   map[string]int64{"daemon_queue_depth": -3, "daemon_sessions": 42},
+		Histograms: map[string]metrics.HistogramSnapshot{
+			"daemon_pipeline_e2e_latency_ns": h.Snapshot(),
+		},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scraped %+v\nwant    %+v", got, want)
+	}
+	var text strings.Builder
+	if err := telemetry.WriteProm(&text, fc.reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	for kind, names := range map[string][]string{
+		"counter":   {"daemon_pipeline_in", "daemon_pipeline_dropped", "x_y"},
+		"gauge":     {"daemon_queue_depth", "daemon_sessions"},
+		"histogram": {"daemon_pipeline_e2e_latency_ns"},
+	} {
+		for _, name := range names {
+			if !strings.Contains(text.String(), "# TYPE "+name+" "+kind+"\n") {
+				t.Errorf("the text exposition has no %s %s:\n%s", kind, name, text.String())
+			}
+		}
+	}
+	if !strings.Contains(text.String(), "\nx_y 1\n") {
+		t.Errorf("the text exposition resolves the x_y collision differently:\n%s", text.String())
+	}
+}
+
+// TestScrapeSkipsLabeledInfo: the labeled build_info gauge the text
+// /metrics carries is not a registry series; a scrape keeps none of it
+// and keeps the registry's own series beside it.
+func TestScrapeSkipsLabeledInfo(t *testing.T) {
+	reg := metrics.NewRegistry()
+	reg.Counter("x").Inc()
+	admin := &telemetry.Admin{Registry: reg,
+		Build: map[string]string{"version": "v1, with \"quotes\"", "go": "gc"}}
+	srv := httptest.NewServer(admin.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	_, err = io.Copy(&text, resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "build_info{") {
+		t.Fatalf("the text exposition has no labeled build_info:\n%s", text.String())
+	}
+
+	f, err := NewFederator(Config{Targets: func() []Target {
+		return []Target{{ID: "c1", AdminAddr: strings.TrimPrefix(srv.URL, "http://"), Connected: true}}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ScrapeOnce(context.Background())
+	snaps, _ := f.snapshots()
+	got, ok := snaps["c1"]
+	if !ok {
+		t.Fatalf("no snapshot kept; health %+v", f.Health())
+	}
+	if _, leaked := got.Gauges["build_info"]; leaked {
+		t.Error("labeled build_info leaked into gauges")
+	}
+	if got.Counters["x"] != 1 {
+		t.Errorf("counter beside build_info = %d, want 1", got.Counters["x"])
+	}
+}
+
+// TestScrapeRejectsGarbage: a collector that answers /metrics?format=json
+// with something else — Prometheus text, a truncated document, a
+// histogram the rollup could not index — is a failed scrape, counted and
+// surfaced on its health row, and contributes nothing to the rollup.
+func TestScrapeRejectsGarbage(t *testing.T) {
+	for _, body := range []string{
+		"# TYPE x counter\nx 1\n",
+		`{"Counters":{"x":1}`,
+		`{"Counters":{"x":-1}}`,
+		`{"Histograms":{"h":{"Bounds":[1,2],"Counts":[]}}}`,
+		`{"Histograms":{"h":{"Bounds":[1,2],"Counts":[1,2,3,4]}}}`,
+		`{"Histograms":{"h":{"Bounds":[2,1],"Counts":[1,1,1]}}}`,
+		`{"Histograms":{"h":{"Bounds":[1,1],"Counts":[1,1,1]}}}`,
+		`{"Histograms":{"h":{"Counts":[]}}}`,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			_, _ = w.Write([]byte(body))
+		}))
+		reg := metrics.NewRegistry()
+		f, err := NewFederator(Config{
+			Targets: func() []Target {
+				return []Target{{ID: "c1", AdminAddr: strings.TrimPrefix(srv.URL, "http://"), Connected: true}}
+			},
+			Registry: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ScrapeOnce(context.Background())
+		srv.Close()
+		if h := f.Health(); len(h) != 1 || h[0].State != StateNever || h[0].LastError == "" {
+			t.Errorf("body %q: health %+v, want one never row with an error", body, h)
+		}
+		if n := len(f.Rollup().PerCollector); n != 0 {
+			t.Errorf("body %q: %d snapshots in the rollup, want none", body, n)
+		}
+		if c := reg.Snapshot().Counters["fleet.scrape_errors"]; c != 1 {
+			t.Errorf("body %q: fleet.scrape_errors = %d, want 1", body, c)
+		}
+	}
+}
 
 // TestFleetStaleness is the satellite-3 table test: a collector with a
 // live lease whose scrape fails must render stale (never dropped from

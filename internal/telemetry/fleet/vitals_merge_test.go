@@ -25,8 +25,8 @@ func newVitalsCollector(t *testing.T, snap vitals.Snapshot) *vitalsCollector {
 	vc := &vitalsCollector{snap: snap}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		_, _ = w.Write([]byte("# TYPE pipeline_in counter\npipeline_in 1\n"))
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"Counters":{"pipeline_in":1}}`))
 	})
 	mux.HandleFunc("/vitalz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -40,56 +40,93 @@ func sanitizeMetricName(name string) string {
 	return string(out)
 }
 
+// Series kinds, in the order a counter, gauge and histogram sharing one
+// registry name are rendered.
+const (
+	promCounter = iota
+	promGauge
+	promHistogram
+)
+
+// promSeries is one series of a snapshot under its exposition name.
+type promSeries struct {
+	name, key string // exposition name, registry name
+	kind      int
+}
+
+// exposition lists every series of s in registry-name order under the
+// name it is exposed as. Two registry names collapsing onto one sanitized
+// name would make an invalid exposition, so the first keeps it and the
+// later ones are left out. WriteProm and promSnapshot both render this
+// list, so the text and JSON forms of /metrics carry the same names.
+func exposition(s metrics.Snapshot) []promSeries {
+	all := make([]promSeries, 0, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
+	for k := range s.Counters {
+		all = append(all, promSeries{key: k, kind: promCounter})
+	}
+	for k := range s.Gauges {
+		all = append(all, promSeries{key: k, kind: promGauge})
+	}
+	for k := range s.Histograms {
+		all = append(all, promSeries{key: k, kind: promHistogram})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].key != all[j].key {
+			return all[i].key < all[j].key
+		}
+		return all[i].kind < all[j].kind
+	})
+	seen := make(map[string]bool, len(all))
+	out := all[:0]
+	for _, sr := range all {
+		sr.name = sanitizeMetricName(sr.key)
+		if !seen[sr.name] {
+			seen[sr.name] = true
+			out = append(out, sr)
+		}
+	}
+	return out
+}
+
 // WriteProm renders the snapshot in Prometheus text exposition format.
 func WriteProm(w io.Writer, s metrics.Snapshot) error {
-	type series struct {
-		name string
-		emit func(io.Writer, string) error
-	}
-	var all []series
-
-	for name, v := range s.Counters {
-		v := v
-		all = append(all, series{name, func(w io.Writer, n string) error {
-			if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", n); err != nil {
-				return err
-			}
-			_, err := fmt.Fprintf(w, "%s %d\n", n, v)
-			return err
-		}})
-	}
-	for name, v := range s.Gauges {
-		v := v
-		all = append(all, series{name, func(w io.Writer, n string) error {
-			if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", n); err != nil {
-				return err
-			}
-			_, err := fmt.Fprintf(w, "%s %d\n", n, v)
-			return err
-		}})
-	}
-	for name, h := range s.Histograms {
-		h := h
-		all = append(all, series{name, func(w io.Writer, n string) error {
-			return writePromHistogram(w, n, h)
-		}})
-	}
-
-	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-	seen := make(map[string]bool, len(all))
-	for _, sr := range all {
-		n := sanitizeMetricName(sr.name)
-		if seen[n] {
-			// Two registry names collapsing onto one sanitized name would
-			// produce an invalid exposition; keep the first.
-			continue
+	for _, sr := range exposition(s) {
+		var err error
+		switch sr.kind {
+		case promCounter:
+			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", sr.name, sr.name, s.Counters[sr.key])
+		case promGauge:
+			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", sr.name, sr.name, s.Gauges[sr.key])
+		default:
+			err = writePromHistogram(w, sr.name, s.Histograms[sr.key])
 		}
-		seen[n] = true
-		if err := sr.emit(w, n); err != nil {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// promSnapshot is s keyed by the names WriteProm renders it under
+// (daemon.pipeline.in becomes daemon_pipeline_in): the JSON form of
+// /metrics, which the fleet federator decodes without loss.
+func promSnapshot(s metrics.Snapshot) metrics.Snapshot {
+	out := metrics.Snapshot{
+		Counters:   make(map[string]uint64),
+		Gauges:     make(map[string]int64),
+		Histograms: make(map[string]metrics.HistogramSnapshot),
+	}
+	for _, sr := range exposition(s) {
+		switch sr.kind {
+		case promCounter:
+			out.Counters[sr.name] = s.Counters[sr.key]
+		case promGauge:
+			out.Gauges[sr.name] = s.Gauges[sr.key]
+		default:
+			out.Histograms[sr.name] = s.Histograms[sr.key]
+		}
+	}
+	return out
 }
 
 // WritePromInfo renders a Prometheus "info-style" gauge — a constant 1

@@ -99,7 +99,6 @@ const (
 	VerdictOK       = "ok"               // survived the whole stage chain
 	VerdictOverflow = "dropped:overflow" // lost at intake to the overflow policy
 	VerdictClosed   = "dropped:closed"   // offered after pipeline close
-	VerdictEvicted  = "dropped:evicted"  // evicted from the queue (DropOldest)
 )
 
 // VerdictFiltered is the verdict for an update a named stage discarded
