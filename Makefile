@@ -42,23 +42,24 @@ chaos:
 
 # obs-smoke boots a real gill-daemon with -admin on an ephemeral loopback
 # port, curls every operator endpoint (/metrics incl. histogram buckets,
-# /statusz, /healthz, /readyz, /tracez, pprof), then runs the env-gated
-# tracing-overhead guard: the flight-recorder-enabled pipeline must stay
-# within 5% of the untraced baseline.
+# /statusz, /healthz, /readyz, /tracez, pprof), then runs the tracing row
+# of the env-gated overhead guard: the flight-recorder-enabled pipeline
+# must keep 95% of the untraced throughput (median of alternated pairs).
 obs-smoke:
 	sh scripts/obs_smoke.sh
-	GILL_BENCH_GUARD=1 $(GO) test -run TestTracingOverheadGuard -count=1 -v .
+	GILL_BENCH_GUARD=1 $(GO) test -run 'TestOverheadGuard/tracing' -count=1 -v .
 
 # quality-smoke exercises the data-quality plane: the quality package and
 # shadow-lane/drift tests under the race detector, the end-to-end
 # completeness-ledger tests (clean and chaos runs both must balance to
-# zero residual), then the env-gated overhead guard — the shadow lane at
-# the default 1/64 fraction must stay within 5% of shadow-off throughput.
+# zero residual), then the shadow row of the env-gated overhead guard —
+# the shadow lane at the default 1/64 fraction must keep 95% of shadow-off
+# throughput.
 quality-smoke:
 	$(GO) test -race -count=1 ./internal/quality/
 	$(GO) test -race -count=1 -run 'Shadow|Drift|NoteDrift' ./internal/pipeline/ ./internal/orchestrator/
 	$(GO) test -race -count=1 -run 'TestQualityLedger' .
-	GILL_BENCH_GUARD=1 $(GO) test -run TestShadowOverheadGuard -count=1 -v .
+	GILL_BENCH_GUARD=1 $(GO) test -run 'TestOverheadGuard/shadow' -count=1 -v .
 
 # serve-smoke is the serving-plane end-to-end: boot a real daemon with a
 # WAL journal, attach a filtered NDJSON stream subscriber, feed it BGP
@@ -77,13 +78,15 @@ bench-serve:
 	$(GO) test -run xxx -bench BenchmarkStreamFanout -benchtime 1x .
 	GILL_BENCH_GUARD=1 $(GO) test -run 'TestStreamScaleGuard|TestServeBenchReport' -count=1 -v .
 
-# fabric-smoke is the federation end-to-end: boot a real gill-coordinator
-# with a VP universe and a filter file, join two gill-daemon collectors,
-# assert fleet-wide byte-identical filter installation (FNV digest over
-# the exact marshaled bytes), SIGKILL one collector, and require its
-# whole VP shard on the survivor within two lease periods. The in-process
-# fleet chaos tests (collector kill + control-plane fault injection +
-# network partition, all under the race detector) run first.
+# fabric-smoke is the federation end-to-end: boot gill-orchestrator with
+# the fleet coordinator (-fabric-listen), confirm four peerings and load a
+# filter file on its console, join two gill-daemon collectors, assert
+# fleet-wide byte-identical filter installation (FNV digest over the exact
+# marshaled bytes), SIGKILL one collector, require its whole VP shard on
+# the survivor within two lease periods, and require the orchestrator to
+# exit 0 within 2 s of SIGTERM. The in-process fleet chaos tests
+# (collector kill + control-plane fault injection + network partition,
+# all under the race detector) run first.
 fabric-smoke:
 	$(GO) test -race -count=1 ./internal/fabric/
 	sh scripts/fabric_smoke.sh
@@ -95,12 +98,14 @@ fabric-smoke:
 bench-fabric:
 	GILL_BENCH_GUARD=1 $(GO) test -run TestFabricBenchReport -count=1 -v .
 
-# obs-fleet-smoke is the fleet-observability end-to-end: boot a real
-# gill-coordinator (metrics federation + SLO engine on tight windows) and
-# two gill-daemon collectors, assert /fleet/metrics rollups with
-# per-collector rows, /fleetz scrape health, /fleet/tracez, and a full
-# synthetic incident on /alertz — SIGKILL a collector, watch the
-# availability burn-rate alert fire, restart it, watch the alert resolve.
+# obs-fleet-smoke is the fleet-observability end-to-end: boot
+# gill-orchestrator with the fleet coordinator (metrics federation + SLO
+# engine on tight windows) and two gill-daemon collectors, assert
+# /fleet/metrics rollups with per-collector rows, /fleetz scrape health,
+# /fleet/tracez, and a full synthetic incident on /alertz — SIGKILL a
+# collector, watch the availability burn-rate alert fire, restart it,
+# watch the alert resolve, then SIGTERM the orchestrator and require a
+# clean exit within 2 s.
 # The in-process fleet observability tests (stitched multi-process trace,
 # exact rollup sums, SLO fire/resolve under partition) run first under
 # the race detector, followed by the env-gated federation overhead guard.
@@ -115,13 +120,13 @@ obs-fleet-smoke:
 # gill-daemon with two simulated VPs — one feed goes silent with its
 # session up, /vitalz must walk it live → silent → live, and the offline
 # gap auditor must find the injected outage in the WAL — and finally the
-# env-gated tap overhead guard (vitals on must hold 95% of vitals-off
-# ingest throughput).
+# vitals row of the env-gated overhead guard (vitals on must hold 95% of
+# vitals-off ingest throughput).
 vitals-smoke:
 	$(GO) test -race -count=1 ./internal/vitals/
 	$(GO) test -race -count=1 -run TestFleetVitalsIncidentEndToEnd ./internal/telemetry/fleet/
 	sh scripts/vitals_smoke.sh
-	GILL_BENCH_GUARD=1 $(GO) test -run TestVitalsOverheadGuard -count=1 -v .
+	GILL_BENCH_GUARD=1 $(GO) test -run 'TestOverheadGuard/vitals' -count=1 -v .
 
 # bench-codec runs the codec hot-path benchmarks (decode into a reused
 # Update, legacy eager decode, append-encode into a reused buffer, and
@@ -226,8 +231,8 @@ loc:
 # overhead), the data-quality smoke (ledger conservation + shadow
 # overhead), the serving-plane smoke (indexed queries + filtered
 # streaming end to end), the federation smoke (fleet chaos tests plus
-# a real coordinator + two-collector failover with byte-identical filter
-# distribution), the fleet-observability smoke (federated metrics,
+# the orchestrator-hosted coordinator + two-collector failover with
+# byte-identical filter distribution), the fleet-observability smoke (federated metrics,
 # stitched traces, and a live SLO incident), the vitals smoke (per-VP
 # live → silent → live classification against a real daemon plus the
 # offline archive-gap audit), the codec fuzz smoke (no

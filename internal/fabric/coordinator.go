@@ -195,19 +195,6 @@ func (c *Coordinator) AddVP(vp string) {
 	c.deliver(pushes)
 }
 
-// RemoveVP drops one VP (a torn-down peering) and rebalances.
-func (c *Coordinator) RemoveVP(vp string) {
-	c.mu.Lock()
-	if !c.vps[vp] {
-		c.mu.Unlock()
-		return
-	}
-	delete(c.vps, vp)
-	pushes := c.rebalanceLocked("vps")
-	c.mu.Unlock()
-	c.deliver(pushes)
-}
-
 // Assignment snapshots the current VP→collector map.
 func (c *Coordinator) Assignment() map[string]string {
 	c.mu.Lock()

@@ -205,11 +205,13 @@ func (s *Set) Marshal(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Unmarshal reads the Marshal format.
+// Unmarshal reads the Marshal format. Lines are read with surrounding
+// whitespace trimmed, so a hand-edited file may indent or pad them.
 func Unmarshal(r io.Reader) (*Set, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	s := NewSet(GranVPPrefix)
+	var drops []string
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -223,10 +225,19 @@ func Unmarshal(r io.Reader) (*Set, error) {
 		case strings.HasPrefix(line, "accept-all "):
 			s.AddAnchor(strings.TrimPrefix(line, "accept-all "))
 		case strings.HasPrefix(line, "drop "):
-			s.drops[strings.TrimPrefix(line, "drop ")] = true
+			drops = append(drops, strings.TrimPrefix(line, "drop "))
 		default:
 			return nil, fmt.Errorf("filter: unrecognized line %q", line)
 		}
+	}
+	// A path-granularity key ends in the AS path's trailing space
+	// (update.PathKey), which trimming took off; a key ending in '|' has
+	// an empty path and had none. Restored once the granularity is known.
+	for _, k := range drops {
+		if s.Granularity == GranVPPrefixPath && !strings.HasSuffix(k, "|") {
+			k += " "
+		}
+		s.drops[k] = true
 	}
 	return s, sc.Err()
 }

@@ -157,28 +157,46 @@ func TestApply(t *testing.T) {
 	}
 }
 
+// TestMarshalRoundTrip: at every granularity, Unmarshal(Marshal(s))
+// behaves as s and marshals back to the same bytes (the fleet's filter
+// digest is taken over those bytes).
 func TestMarshalRoundTrip(t *testing.T) {
 	res := correlation.Run(fig10Updates(), correlation.DefaultConfig())
-	s := Generate(res, []string{"VP2"}, GranVPPrefix)
-	var buf bytes.Buffer
-	if err := s.Marshal(&buf); err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	got, err := Unmarshal(&buf)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if got.Granularity != s.Granularity || got.NumDrops() != s.NumDrops() {
-		t.Errorf("round trip mismatch: %d drops vs %d", got.NumDrops(), s.NumDrops())
-	}
-	if !got.IsAnchor("VP2") {
-		t.Error("anchor lost in round trip")
-	}
-	// Behavioral equivalence.
-	for _, x := range fig10Updates() {
-		if got.Keep(x) != s.Keep(x) {
-			t.Fatalf("behavior differs after round trip for %+v", x)
-		}
+	for _, g := range []Granularity{GranVPPrefix, GranVPPrefixPath, GranVPPrefixPathComm} {
+		t.Run(g.String(), func(t *testing.T) {
+			s := Generate(res, []string{"VP2"}, g)
+			if s.NumDrops() == 0 {
+				t.Fatal("no drop rules generated; the round trip checks nothing")
+			}
+			var buf bytes.Buffer
+			if err := s.Marshal(&buf); err != nil {
+				t.Fatalf("Marshal: %v", err)
+			}
+			raw := append([]byte(nil), buf.Bytes()...)
+			got, err := Unmarshal(&buf)
+			if err != nil {
+				t.Fatalf("Unmarshal: %v", err)
+			}
+			if got.Granularity != s.Granularity || got.NumDrops() != s.NumDrops() {
+				t.Errorf("round trip mismatch: %d drops vs %d", got.NumDrops(), s.NumDrops())
+			}
+			if !got.IsAnchor("VP2") {
+				t.Error("anchor lost in round trip")
+			}
+			// Behavioral equivalence.
+			for _, x := range fig10Updates() {
+				if got.Keep(x) != s.Keep(x) {
+					t.Fatalf("behavior differs after round trip for %+v", x)
+				}
+			}
+			var again bytes.Buffer
+			if err := got.Marshal(&again); err != nil {
+				t.Fatalf("Marshal: %v", err)
+			}
+			if !bytes.Equal(again.Bytes(), raw) {
+				t.Errorf("re-marshaled bytes differ:\n%s\nvs\n%s", again.Bytes(), raw)
+			}
+		})
 	}
 }
 

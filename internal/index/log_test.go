@@ -270,9 +270,10 @@ func TestSealPassAllocations(t *testing.T) {
 	pass(long, 4096)() // size the pooled scratch
 	perShort := testing.AllocsPerRun(20, pass(short, 512))
 	perLong := testing.AllocsPerRun(20, pass(long, 4096))
-	// The slack is for the race detector, under which sync.Pool drops a
-	// share of what is put back; one allocation per record would be 3584.
-	if perLong > perShort+8 || perLong > 32 {
+	// One allocation per record would be 3584 more over the long segment.
+	// Under the race detector sync.Pool drops a share of what is put back,
+	// so the pass still runs there but the count is not asserted.
+	if !raceEnabled && (perLong > perShort+8 || perLong > 32) {
 		t.Fatalf("seal pass allocates %.0f times over 512 records and %.0f over 4096; want the same small constant", perShort, perLong)
 	}
 	if observed == 0 {

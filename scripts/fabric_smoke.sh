@@ -1,11 +1,14 @@
 #!/bin/sh
 # fabric_smoke.sh — end-to-end smoke of the federated collector fabric:
-# boot a real gill-coordinator with a VP universe and a filter file, join
-# two gill-daemon collectors to the fleet, verify the assignment covers
-# every VP and both collectors installed byte-identical filter sets, then
-# SIGKILL one collector and assert its entire VP shard is rebalanced onto
-# the survivor within two lease periods — with the survivor's filter
-# generation (and FNV digest of the exact filter bytes) unchanged.
+# boot gill-orchestrator hosting the fleet coordinator, feed its console
+# four peerings (submit + confirm) and a filter file from a file on stdin,
+# join two gill-daemon collectors to the fleet, verify the assignment
+# covers every VP and both collectors installed byte-identical filter
+# sets, then SIGKILL one collector and assert its entire VP shard is
+# rebalanced onto the survivor within two lease periods — with the
+# survivor's filter generation (and FNV digest of the exact filter bytes)
+# unchanged. The orchestrator must outlive its console's EOF and exit 0
+# within 2 s of SIGTERM.
 #
 # Run via `make fabric-smoke`.
 set -eu
@@ -28,7 +31,7 @@ trap cleanup EXIT INT TERM
 
 fail() {
 	echo "fabric-smoke: FAIL: $1" >&2
-	for log in coord.log d1.log d2.log; do
+	for log in coord.log console.out d1.log d2.log; do
 		if [ -f "$dir/$log" ]; then
 			echo "--- $log ---" >&2
 			tail -10 "$dir/$log" >&2
@@ -37,8 +40,23 @@ fail() {
 	exit 1
 }
 
-echo "fabric-smoke: building gill-coordinator, gill-daemon"
-$GO build -o "$dir/gill-coordinator" ./cmd/gill-coordinator
+# term_within_2s PID: SIGTERM PID and return its exit status; a watchdog
+# SIGKILLs it if it is still running 2 s later (status 137).
+term_within_2s() {
+	kill -TERM "$1"
+	(
+		sleep 2
+		kill -KILL "$1" 2>/dev/null
+	) &
+	wd=$!
+	rc=0
+	wait "$1" || rc=$?
+	kill "$wd" 2>/dev/null || true
+	return $rc
+}
+
+echo "fabric-smoke: building gill-orchestrator, gill-daemon"
+$GO build -o "$dir/gill-orchestrator" ./cmd/gill-orchestrator
 $GO build -o "$dir/gill-daemon" ./cmd/gill-daemon
 
 # The filter set distributed to the fleet (Marshal text format).
@@ -49,12 +67,21 @@ drop vp65002|192.0.2.0/24
 drop vp65003|198.51.100.0/24
 EOF
 
+# The console script: four confirmed peerings are the fleet's VPs
+# (vp65001..vp65004), then the filter file is installed and pushed. The
+# console reaches EOF right after; the orchestrator keeps serving.
+for as in 65001 65002 65003 65004; do
+	echo "submit $as noc@as$as.example 192.0.2.$((as - 65000))"
+	echo "confirm $as noc@as$as.example"
+done >"$dir/console.txt"
+echo "filters $dir/fleet.filters" >>"$dir/console.txt"
+
 # A short lease so failover is quick; the 2-lease failover deadline below
 # scales with this.
 lease_ms=1000
-"$dir/gill-coordinator" -listen 127.0.0.1:0 -admin 127.0.0.1:0 \
-	-lease "${lease_ms}ms" -vps vp65001,vp65002,vp65003,vp65004 \
-	-filters "$dir/fleet.filters" </dev/null 2>"$dir/coord.log" &
+"$dir/gill-orchestrator" -fabric-listen 127.0.0.1:0 -admin 127.0.0.1:0 \
+	-fabric-lease "${lease_ms}ms" \
+	<"$dir/console.txt" >"$dir/console.out" 2>"$dir/coord.log" &
 coordpid=$!
 
 grab() { # grab <logfile> <key>
@@ -64,10 +91,10 @@ ctrl=""
 cadmin=""
 i=0
 while [ $i -lt 50 ]; do
-	ctrl=$(grab coord.log "addr")
+	ctrl=$(grab coord.log "fabric_addr")
 	cadmin=$(grab coord.log "admin_addr")
 	[ -n "$ctrl" ] && [ -n "$cadmin" ] && break
-	kill -0 "$coordpid" 2>/dev/null || fail "coordinator exited during startup"
+	kill -0 "$coordpid" 2>/dev/null || fail "orchestrator exited during startup"
 	i=$((i + 1))
 	sleep 0.1
 done
@@ -92,7 +119,7 @@ i=0
 while [ $i -lt 100 ]; do
 	f=$(fleetz || true)
 	if echo "$f" | grep -q '"id":"c1"' && echo "$f" | grep -q '"id":"c2"' &&
-		! echo "$f" | grep -q '"unassigned"'; then
+		echo "$f" | grep -q '"vps":4,' && ! echo "$f" | grep -q '"unassigned"'; then
 		installs=$(echo "$f" | grep -o '"installed_filter_gen":1' | wc -l)
 		[ "$installs" -eq 2 ] && break
 	fi
@@ -102,6 +129,7 @@ done
 f=$(fleetz)
 echo "$f" | grep -q '"id":"c1"' || fail "c1 never joined the fleet"
 echo "$f" | grep -q '"id":"c2"' || fail "c2 never joined the fleet"
+echo "$f" | grep -q '"vps":4,' || fail "the fleet does not hold the four confirmed peers as VPs"
 echo "$f" | grep -q '"unassigned"' && fail "VPs left unassigned with two live collectors" || true
 [ "$(echo "$f" | grep -o '"installed_filter_gen":1' | wc -l)" -eq 2 ] ||
 	fail "filter generation 1 not installed fleet-wide"
@@ -169,5 +197,9 @@ curl -fsS "http://$d2admin/fleetz" | tr -d ' \n\t' | grep -q "\"filter_sum\":\"$
 	fail "survivor agent digest changed across failover"
 curl -fsS "http://$cadmin/statusz" | grep -q '"fleet"' ||
 	fail "/statusz missing the fleet section"
+
+term_within_2s "$coordpid" ||
+	fail "orchestrator did not exit 0 within 2 s of SIGTERM (137: killed after 2 s)"
+coordpid=""
 
 echo "fabric-smoke: PASS"

@@ -1,15 +1,17 @@
 #!/bin/sh
 # obs_fleet_smoke.sh — fleet observability end to end with real
-# processes: boot a gill-coordinator (metrics federation + SLO engine on
-# tight windows) and two gill-daemon collectors, then assert the
-# coordinator-side surfaces: /fleet/metrics carries both the rolled-up
-# series and the per-collector labeled rows with fleet_collector_up
-# markers, /fleetz joins lease state with scrape health, /fleet/tracez
-# serves the stitched trace view, and /alertz runs a full synthetic
-# incident — SIGKILL one collector (its lease outlives it, so the fleet
-# keeps a stale row rather than dropping it), watch the availability SLO
-# fire on both burn windows, restart the collector under the same fabric
-# identity, and watch the alert resolve.
+# processes: boot gill-orchestrator hosting the fleet coordinator (metrics
+# federation + SLO engine on tight windows; its console confirms the two
+# peerings from a file on stdin) and two gill-daemon collectors, then
+# assert the coordinator-side surfaces: /fleet/metrics carries both the
+# rolled-up series and the per-collector labeled rows with
+# fleet_collector_up markers, /fleetz joins lease state with scrape
+# health, /fleet/tracez serves the stitched trace view, and /alertz runs
+# a full synthetic incident — SIGKILL one collector (its lease outlives
+# it, so the fleet keeps a stale row rather than dropping it), watch the
+# availability SLO fire on both burn windows, restart the collector under
+# the same fabric identity, and watch the alert resolve. Finally the
+# orchestrator must exit 0 within 2 s of SIGTERM.
 #
 # Run via `make obs-fleet-smoke` (part of `make verify`).
 set -eu
@@ -32,7 +34,7 @@ trap cleanup EXIT INT TERM
 
 fail() {
 	echo "obs-fleet-smoke: FAIL: $1" >&2
-	for f in coord.log d1.log d2.log; do
+	for f in coord.log coord.out d1.log d2.log; do
 		[ -f "$dir/$f" ] && { echo "--- $f ---" >&2; tail -20 "$dir/$f" >&2; }
 	done
 	exit 1
@@ -54,24 +56,45 @@ poll_log() {
 	return 1
 }
 
-echo "obs-fleet-smoke: building gill-coordinator and gill-daemon"
-$GO build -o "$dir/gill-coordinator" ./cmd/gill-coordinator
+# term_within_2s PID: SIGTERM PID and return its exit status; a watchdog
+# SIGKILLs it if it is still running 2 s later (status 137).
+term_within_2s() {
+	kill -TERM "$1"
+	(
+		sleep 2
+		kill -KILL "$1" 2>/dev/null
+	) &
+	wd=$!
+	rc=0
+	wait "$1" || rc=$?
+	kill "$wd" 2>/dev/null || true
+	return $rc
+}
+
+echo "obs-fleet-smoke: building gill-orchestrator and gill-daemon"
+$GO build -o "$dir/gill-orchestrator" ./cmd/gill-orchestrator
 $GO build -o "$dir/gill-daemon" ./cmd/gill-daemon
+
+# The console confirms two peerings — the fleet's VPs vp65001 and
+# vp65002 — and reaches EOF; the orchestrator keeps serving.
+cat >"$dir/console.txt" <<'EOF'
+submit 65001 noc@as65001.example 192.0.2.1
+confirm 65001 noc@as65001.example
+submit 65002 noc@as65002.example 192.0.2.2
+confirm 65002 noc@as65002.example
+EOF
 
 # A long lease keeps a SIGKILLed collector on the books (stale, never
 # dropped) for the whole incident; tight scrape/SLO windows make the
-# burn-rate alert fire and resolve within seconds.
-# Stdin from /dev/null: the command console sees EOF and idles until the
-# shutdown signal, keeping the process (and cleanup's wait) simple.
-"$dir/gill-coordinator" \
-	-listen 127.0.0.1:0 -admin 127.0.0.1:0 -lease 60s \
-	-vps vp65001,vp65002 \
-	-scrape-every 500ms -stale-after 2s \
-	-slo-short 2s -slo-long 6s \
-	</dev/null >"$dir/coord.out" 2>"$dir/coord.log" &
+# burn-rate alert fire and resolve within seconds (a collector renders
+# stale 3 scrape intervals after its last good scrape).
+"$dir/gill-orchestrator" \
+	-fabric-listen 127.0.0.1:0 -admin 127.0.0.1:0 -fabric-lease 60s \
+	-scrape-every 500ms -slo-short 2s -slo-long 6s \
+	<"$dir/console.txt" >"$dir/coord.out" 2>"$dir/coord.log" &
 cpid=$!
 
-caddr=$(poll_log "$dir/coord.log" addr "$cpid") ||
+caddr=$(poll_log "$dir/coord.log" fabric_addr "$cpid") ||
 	fail "coordinator control plane never came up"
 aaddr=$(poll_log "$dir/coord.log" admin_addr "$cpid") ||
 	fail "coordinator admin plane never came up"
@@ -187,5 +210,9 @@ echo "obs-fleet-smoke: alert RESOLVED after heal"
 
 curl -fsS "http://$aaddr/fleetz" | grep -q '"state": "fresh"' ||
 	fail "restarted collector never scraped fresh"
+
+term_within_2s "$cpid" ||
+	fail "orchestrator did not exit 0 within 2 s of SIGTERM (137: killed after 2 s)"
+cpid=""
 
 echo "obs-fleet-smoke: PASS"

@@ -126,9 +126,9 @@ pid=""
 echo "obs-smoke: daemon PASS ($(wc -l <"$dir/metrics.txt") metric lines)"
 
 # Same checks against the orchestrator's admin plane. Its stdin is the
-# command console, so keep the pipe open for the run.
-sleep 60 | "$dir/gill-orchestrator" -admin 127.0.0.1:0 \
-	>"$dir/orch.out" 2>"$dir/orch.log" &
+# command console; EOF closes the console, not the process.
+"$dir/gill-orchestrator" -admin 127.0.0.1:0 \
+	</dev/null >"$dir/orch.out" 2>"$dir/orch.log" &
 opid=$!
 oaddr=""
 i=0
