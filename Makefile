@@ -34,11 +34,13 @@ bench-recompute:
 # chaos runs the fault-injection suite under the race detector: the
 # seeded faults harness itself, crash/kill recovery of the archive
 # journal, flaky-accept and silent-peer handling, and supervised stream
-# reconnection.
+# reconnection — then races the daemon's per-VP state (concurrent
+# sessions, a blocked RIB dump) twenty times over.
 chaos:
 	$(GO) test -race -count=1 ./internal/faults/ ./internal/resilience/
 	$(GO) test -race -count=1 -run 'Fault|Chaos|Kill|Truncat|Flaky|Accept|Idle|Degraded|Reconnect' \
 		./internal/archive/ ./internal/daemon/ ./internal/stream/
+	$(GO) test -race -count=20 -run 'Stall|DumpRIB|MultiplePeers|Collects' ./internal/daemon/
 
 # obs-smoke boots a real gill-daemon with -admin on an ephemeral loopback
 # port, curls every operator endpoint (/metrics incl. histogram buckets,

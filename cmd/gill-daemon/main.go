@@ -418,14 +418,14 @@ func main() {
 	snap := d.PipelineSnapshot()
 	logm.Info("final stats", "received", s.Received, "filtered", s.Filtered,
 		"written", s.Written, "lost", s.Lost, "withdrawn", s.Withdrawn,
-		"rejected", s.Rejected, "serve_err", err)
+		"serve_err", err)
 	logm.Info("final pipeline", "loss_fraction", fmt.Sprintf("%.4f", s.LossFraction()),
 		"mean_batch", fmt.Sprintf("%.1f", snap.BatchSizes.Mean()),
 		"e2e_p50_ns", fmt.Sprintf("%.0f", snap.E2ENS.Quantile(0.5)),
 		"e2e_p99_ns", fmt.Sprintf("%.0f", snap.E2ENS.Quantile(0.99)))
 	lc := d.LedgerCounts()
 	logm.Info("final ledger", "in", lc.In, "archived", lc.Archived,
-		"filtered", lc.Filtered, "dropped", lc.Dropped, "rejected", lc.Rejected,
+		"filtered", lc.Filtered, "dropped", lc.Dropped,
 		"lost", lc.Lost, "unaccounted", lc.Unaccounted())
 }
 

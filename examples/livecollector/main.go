@@ -103,7 +103,6 @@ func main() {
 		Out:      &archive,
 		Publish:  feed.Publish,
 		Registry: metricsReg,
-		Shards:   4,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

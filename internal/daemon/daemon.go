@@ -35,7 +35,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
 	"repro/internal/update"
-	"repro/internal/validity"
 	"repro/internal/vitals"
 )
 
@@ -57,19 +56,11 @@ type Config struct {
 	RecordSink func(recs [][]byte) (int, error)
 	// QueueSize bounds the total ingest queue between the BGP readers
 	// and the pipeline workers; overflowing updates are lost (default
-	// 4096, split across Shards).
+	// 4096, split across the pipeline's shards).
 	QueueSize int
-	// Shards is the number of parallel pipeline workers (default 4).
-	Shards int
-	// BatchSize is the maximum updates per stage invocation (default 64).
-	BatchSize int
 	// WriteDelay emulates storage latency per archived record, letting
 	// load tests reproduce the disk-bound regime of Table 1.
 	WriteDelay time.Duration
-	// Checker optionally validates received routes (origin validation,
-	// first-hop verification; §14's fake-data defenses). Updates the
-	// checker decides to drop are counted in Stats.Rejected.
-	Checker *validity.Checker
 	// Publish, when set, receives every retained update (the live-feed
 	// tee, §9).
 	Publish func(*update.Update)
@@ -113,8 +104,6 @@ type Stats struct {
 	Written   uint64 // archived to MRT
 	Lost      uint64 // dropped on queue overflow (the Table 1 metric)
 	Withdrawn uint64 // withdrawal records processed
-	Rejected  uint64 // discarded by validity checks (forged or invalid)
-	Forwarded uint64 // delivered to operator forwarding rules (§14)
 }
 
 // LossFraction is Lost / Received.
@@ -137,59 +126,49 @@ type Daemon struct {
 	filterGen atomic.Uint64 // SetFilters installs, the /statusz generation
 	accRetry  *metrics.Counter
 	withdrawn atomic.Uint64
-	rejected  atomic.Uint64
-	forwarded atomic.Uint64
 
 	lastRefresh   atomic.Int64 // unix nanos of the last SetFilters
 	degraded      atomic.Bool
 	degradedGauge *metrics.Gauge
 	degradeEvents *metrics.Counter
 
-	mu       sync.Mutex
-	rib      map[string]map[netip.Prefix]*update.Update // adj-rib-in per peer
-	peerIPs  map[string]netip.Addr
-	forwards []forwardRule
+	// vps maps a VP name to its *vpState. Sessions share nothing else but
+	// the pipeline and the atomic counters above.
+	vps sync.Map
 
 	conns sync.WaitGroup
 }
 
-// forwardRule is one §14 custom-visibility service: updates for the
-// subscribed prefixes are delivered to the operator before any filtering
-// decision.
-type forwardRule struct {
-	prefixes map[netip.Prefix]bool
-	deliver  func(*update.Update)
+// vpState is one VP's collection state, registered at its first session
+// open and kept across reconnects. Only that VP's sessions write its
+// adj-rib-in, under its own lock, so two VPs never contend; the identity
+// is swapped whole, so the archive stage reads it without a lock.
+type vpState struct {
+	name string
+	as   uint32
+	id   atomic.Pointer[vpIdentity]
+
+	mu  sync.Mutex
+	rib map[netip.Prefix]*update.Update // adj-rib-in
 }
 
-// AddForward subscribes an operator to updates for the given prefixes.
-// Matching updates are delivered even when GILL's filters discard them —
-// the §14 incentive: full visibility over one's own prefixes.
-func (d *Daemon) AddForward(prefixes []netip.Prefix, deliver func(*update.Update)) {
-	set := make(map[netip.Prefix]bool, len(prefixes))
-	for _, p := range prefixes {
-		set[p] = true
-	}
-	d.mu.Lock()
-	d.forwards = append(d.forwards, forwardRule{prefixes: set, deliver: deliver})
-	d.mu.Unlock()
+// vpIdentity is what the newest session says about its VP: the remote
+// address of the socket and the BGP identifier of the OPEN.
+type vpIdentity struct {
+	ip, bgpID netip.Addr
 }
+
+// pipelineShards is the number of parallel pipeline workers.
+const pipelineShards = 4
 
 // New builds a daemon and starts its ingest pipeline.
 func New(cfg Config) *Daemon {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 4096
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 4
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
 	d := &Daemon{
-		cfg:     cfg,
-		log:     cfg.Log.With("daemon"),
-		rib:     make(map[string]map[netip.Prefix]*update.Update),
-		peerIPs: make(map[string]netip.Addr),
+		cfg: cfg,
+		log: cfg.Log.With("daemon"),
 	}
 	d.arch = &pipeline.ArchiveStage{
 		LocalAS:    cfg.LocalAS,
@@ -226,9 +205,8 @@ func New(cfg Config) *Daemon {
 	d.degradeEvents = reg.Counter("daemon.degrade_events")
 	d.accRetry = reg.Counter("daemon.accept_retries")
 	d.pipe = pipeline.New(pipeline.Config{
-		Shards:    cfg.Shards,
+		Shards:    pipelineShards,
 		QueueSize: cfg.QueueSize,
-		BatchSize: cfg.BatchSize,
 		Overflow:  pipeline.DropNewest, // never stall the BGP session
 		Registry:  reg,
 		Name:      "daemon.pipeline",
@@ -278,13 +256,42 @@ func (d *Daemon) maybeDegrade(now time.Time) {
 	}
 }
 
+// register returns the VP's state, creating it on the VP's first session,
+// and makes this session's identity the VP's.
+func (d *Daemon) register(as uint32, ip, bgpID netip.Addr) *vpState {
+	id := &vpIdentity{ip: ip, bgpID: bgpID}
+	name := "vp" + strconv.FormatUint(uint64(as), 10)
+	fresh := &vpState{name: name, as: as, rib: make(map[netip.Prefix]*update.Update)}
+	fresh.id.Store(id) // a registered VP always has an identity
+	v, loaded := d.vps.LoadOrStore(name, fresh)
+	vp := v.(*vpState)
+	if loaded {
+		vp.id.Store(id)
+	}
+	return vp
+}
+
+// vpList returns every registered VP, sorted by name.
+func (d *Daemon) vpList() []*vpState {
+	var vps []*vpState
+	d.vps.Range(func(_, v any) bool {
+		vps = append(vps, v.(*vpState))
+		return true
+	})
+	sort.Slice(vps, func(i, j int) bool { return vps[i].name < vps[j].name })
+	return vps
+}
+
 // peerIdentity resolves a VP name to the peer's AS and remote address for
-// BGP4MP headers.
+// BGP4MP headers. The shard workers call it per archived record, so it
+// takes no lock.
 func (d *Daemon) peerIdentity(vp string) (uint32, netip.Addr) {
-	d.mu.Lock()
-	ip := d.peerIPs[vp]
-	d.mu.Unlock()
-	return parseVPAS(vp), ip
+	v, ok := d.vps.Load(vp)
+	if !ok {
+		return 0, netip.Addr{}
+	}
+	st := v.(*vpState)
+	return st.as, st.id.Load().ip
 }
 
 // Stats snapshots the counters. Filtered, Written and Lost come from the
@@ -297,8 +304,6 @@ func (d *Daemon) Stats() Stats {
 		Written:   d.arch.Written(),
 		Lost:      snap.Dropped,
 		Withdrawn: d.withdrawn.Load(),
-		Rejected:  d.rejected.Load(),
-		Forwarded: d.forwarded.Load(),
 	}
 }
 
@@ -318,7 +323,6 @@ func (d *Daemon) LedgerCounts() quality.LedgerCounts {
 		Filtered: snap.Stage("filter").Dropped,
 		Dropped:  snap.Dropped,
 		Queued:   snap.Queued,
-		Rejected: d.rejected.Load(),
 	}
 	c.In = d.received.Load()
 	return c
@@ -361,13 +365,13 @@ func (d *Daemon) ServeConn(ctx context.Context, conn net.Conn) error {
 	defer sess.Close()
 	peerIP := remoteAddr(conn)
 	d.log.Info("session up", "peer_as", sess.PeerAS, "peer", peerIP)
-	vp := "vp" + strconv.FormatUint(uint64(sess.PeerAS), 10)
+	vp := d.register(sess.PeerAS, peerIP, sess.PeerRouterID)
 	if d.cfg.Vitals != nil {
-		d.cfg.Vitals.SessionUp(vp)
+		d.cfg.Vitals.SessionUp(vp.name)
 	}
 	sessionDown := func(reason string) {
 		if d.cfg.Vitals != nil {
-			d.cfg.Vitals.SessionDown(vp, reason)
+			d.cfg.Vitals.SessionDown(vp.name, reason)
 		}
 	}
 	stop := ctx.Done()
@@ -389,7 +393,7 @@ func (d *Daemon) ServeConn(ctx context.Context, conn net.Conn) error {
 				sessionDown(err.Error())
 				return err
 			}
-			d.ingest(sess.PeerAS, peerIP, u)
+			d.ingest(vp, u)
 		}
 	}
 }
@@ -401,77 +405,42 @@ func remoteAddr(conn net.Conn) netip.Addr {
 	return netip.AddrFrom4([4]byte{0, 0, 0, 0})
 }
 
-// ingest validates one BGP update, applies forwarding rules, tracks the
-// adj-rib-in, and hands the per-prefix canonical updates to the pipeline
-// (which filters, tees, and archives them).
-func (d *Daemon) ingest(peerAS uint32, peerIP netip.Addr, u *bgp.Update) {
+// ingest records one BGP update's per-prefix canonical updates in the
+// VP's adj-rib-in and hands them to the pipeline (which filters, tees, and
+// archives them). It takes only its own VP's lock, and never across
+// Pipeline.Ingest.
+func (d *Daemon) ingest(vp *vpState, u *bgp.Update) {
 	now := d.cfg.Clock()
 	d.maybeDegrade(now)
-	vp := "vp" + strconv.FormatUint(uint64(peerAS), 10)
-
-	var keep []*update.Update
-	d.mu.Lock()
-	if _, ok := d.peerIPs[vp]; !ok {
-		d.peerIPs[vp] = peerIP
-	}
-	ribIn := d.rib[vp]
-	if ribIn == nil {
-		ribIn = make(map[netip.Prefix]*update.Update)
-		d.rib[vp] = ribIn
-	}
-	consider := func(rec *update.Update) {
-		d.received.Add(1)
-		if rec.Withdraw {
-			d.withdrawn.Add(1)
-		}
-		if d.cfg.Checker != nil {
-			if v := d.cfg.Checker.Check(peerAS, rec); v.Drop {
-				d.rejected.Add(1)
-				return
-			}
-		}
-		// Forwarding rules fire before any discard decision (§14).
-		for _, fr := range d.forwards {
-			if fr.prefixes[rec.Prefix] {
-				d.forwarded.Add(1)
-				fr.deliver(rec)
-			}
-		}
-		// The adj-rib-in tracks the session's announced state for every
-		// valid update; archival filtering happens downstream in the
-		// pipeline and does not alter what the peer told us.
-		if rec.Withdraw {
-			delete(ribIn, rec.Prefix)
-		} else {
-			ribIn[rec.Prefix] = rec
-		}
-		keep = append(keep, rec)
-	}
 	// Path/Comms accessors materialize lazily decoded attributes exactly
 	// once; every per-prefix record shares the same backing slices.
-	path, cs := u.Path(), u.Comms()
-	for _, p := range u.NLRI {
-		consider(&update.Update{
-			VP: vp, Time: now, Prefix: p,
-			Path:  path,
-			Comms: comms(cs),
-		})
+	path, cs := u.Path(), comms(u.Comms())
+	for _, nlri := range [2][]netip.Prefix{u.NLRI, u.V6NLRI} {
+		for _, p := range nlri {
+			d.admit(vp, &update.Update{VP: vp.name, Time: now, Prefix: p, Path: path, Comms: cs})
+		}
 	}
-	for _, p := range u.V6NLRI {
-		consider(&update.Update{
-			VP: vp, Time: now, Prefix: p,
-			Path:  path,
-			Comms: comms(cs),
-		})
+	for _, withdrawn := range [2][]netip.Prefix{u.Withdrawn, u.V6Withdrawn} {
+		for _, p := range withdrawn {
+			d.withdrawn.Add(1)
+			d.admit(vp, &update.Update{VP: vp.name, Time: now, Prefix: p, Withdraw: true})
+		}
 	}
-	for _, p := range append(append([]netip.Prefix(nil), u.Withdrawn...), u.V6Withdrawn...) {
-		consider(&update.Update{VP: vp, Time: now, Prefix: p, Withdraw: true})
-	}
-	d.mu.Unlock()
+}
 
-	for _, rec := range keep {
-		d.pipe.Ingest(rec)
+// admit applies one per-prefix update to the adj-rib-in — what the peer
+// told us, whatever the filters later decide — and offers it to the
+// pipeline.
+func (d *Daemon) admit(vp *vpState, rec *update.Update) {
+	vp.mu.Lock()
+	if rec.Withdraw {
+		delete(vp.rib, rec.Prefix)
+	} else {
+		vp.rib[rec.Prefix] = rec
 	}
+	vp.mu.Unlock()
+	d.received.Add(1)
+	d.pipe.Ingest(rec)
 }
 
 func comms(cs []bgp.Community) []uint32 {
@@ -483,52 +452,40 @@ func comms(cs []bgp.Community) []uint32 {
 }
 
 // DumpRIB writes the daemon's adj-rib-in as a TABLE_DUMP_V2 snapshot: a
-// PEER_INDEX_TABLE followed by one RIB entry set per prefix.
+// PEER_INDEX_TABLE followed by one RIB entry set per prefix. Each VP's
+// entries are copied under that VP's lock; encoding and writing hold none,
+// so a slow writer stalls no session.
 func (d *Daemon) DumpRIB(w io.Writer) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	mw := mrt.NewWriter(w)
 	now := d.cfg.Clock()
-
-	var peers []string
-	for vp := range d.rib {
-		peers = append(peers, vp)
-	}
-	sort.Strings(peers)
-	peerIdx := make(map[string]uint16, len(peers))
 	table := &mrt.PeerIndexTable{
 		CollectorID: addrOr(d.cfg.RouterID),
 		ViewName:    "gill",
 	}
-	for i, vp := range peers {
-		peerIdx[vp] = uint16(i)
-		as := parseVPAS(vp)
-		table.Peers = append(table.Peers, mrt.Peer{
-			BGPID: netip.AddrFrom4([4]byte{10, 0, byte(as >> 8), byte(as)}),
-			IP:    netip.AddrFrom4([4]byte{10, 0, byte(as >> 8), byte(as)}),
-			AS:    as,
-		})
+	byPrefix := make(map[netip.Prefix][]mrt.RIBEntry)
+	for i, vp := range d.vpList() {
+		id := vp.id.Load()
+		table.Peers = append(table.Peers, mrt.Peer{BGPID: id.bgpID, IP: id.ip, AS: vp.as})
+		vp.mu.Lock()
+		for p, rec := range vp.rib {
+			byPrefix[p] = append(byPrefix[p], mrt.RIBEntry{
+				PeerIndex:      uint16(i),
+				OriginatedTime: rec.Time,
+				Attrs: bgp.Update{
+					Origin:      bgp.OriginIGP,
+					ASPath:      rec.Path,
+					Communities: communities(rec.Comms),
+				},
+			})
+		}
+		vp.mu.Unlock()
 	}
+
+	mw := mrt.NewWriter(w)
 	if err := mw.WriteRecord(&mrt.Record{
 		Header:    mrt.Header{Timestamp: now, Type: mrt.TypeTableDumpV2, Subtype: mrt.SubtypePeerIndexTable},
 		PeerIndex: table,
 	}); err != nil {
 		return err
-	}
-
-	// Group entries per prefix.
-	byPrefix := make(map[netip.Prefix][]mrt.RIBEntry)
-	for vp, entries := range d.rib {
-		for p, rec := range entries {
-			byPrefix[p] = append(byPrefix[p], mrt.RIBEntry{
-				PeerIndex:      peerIdx[vp],
-				OriginatedTime: rec.Time,
-				Attrs: bgp.Update{
-					Origin: bgp.OriginIGP,
-					ASPath: rec.Path,
-				},
-			})
-		}
 	}
 	var prefixes []netip.Prefix
 	for p := range byPrefix {
@@ -554,9 +511,12 @@ func (d *Daemon) DumpRIB(w io.Writer) error {
 	return nil
 }
 
-func parseVPAS(vp string) uint32 {
-	v, _ := strconv.ParseUint(vp[2:], 10, 32)
-	return uint32(v)
+func communities(cs []uint32) []bgp.Community {
+	out := make([]bgp.Community, len(cs))
+	for i, c := range cs {
+		out[i] = bgp.Community(c)
+	}
+	return out
 }
 
 // Serve accepts peering sessions until ctx is canceled, then waits for
@@ -617,19 +577,15 @@ func (d *Daemon) StatusSnapshot() Status {
 		LossFraction:  snap.LossFraction(),
 		AcceptRetries: d.accRetry.Load(),
 	}
-	d.mu.Lock()
-	var vps []string
-	for vp := range d.rib {
-		vps = append(vps, vp)
-	}
-	sort.Strings(vps)
-	for _, vp := range vps {
+	for _, vp := range d.vpList() {
+		vp.mu.Lock()
+		n := len(vp.rib)
+		vp.mu.Unlock()
 		st.Sessions = append(st.Sessions, SessionStatus{
-			VP:       vp,
-			PeerIP:   d.peerIPs[vp].String(),
-			Prefixes: len(d.rib[vp]),
+			VP:       vp.name,
+			PeerIP:   vp.id.Load().ip.String(),
+			Prefixes: n,
 		})
 	}
-	d.mu.Unlock()
 	return st
 }

@@ -3,9 +3,11 @@ package daemon
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,7 +162,8 @@ func TestDaemonLossUnderOverload(t *testing.T) {
 }
 
 func TestDumpRIB(t *testing.T) {
-	d := New(Config{LocalAS: 65000})
+	var out bytes.Buffer
+	d := New(Config{LocalAS: 65000, Out: &out})
 	defer d.Close()
 	peer := dialPeer(t, d, 65001)
 	// Announce three prefixes, then withdraw one.
@@ -169,10 +172,12 @@ func TestDumpRIB(t *testing.T) {
 		netip.MustParsePrefix("198.51.100.0/24"),
 		netip.MustParsePrefix("192.0.2.0/24"),
 	}
+	comm := bgp.Community(65001<<16 | 100)
 	for _, p := range ps {
 		u := &bgp.Update{
 			Origin: bgp.OriginIGP, ASPath: []uint32{65001, 64999},
 			NextHop: netip.MustParseAddr("192.0.2.5"), NLRI: []netip.Prefix{p},
+			Communities: []bgp.Community{comm},
 		}
 		if err := peer.Send(u); err != nil {
 			t.Fatalf("Send: %v", err)
@@ -181,8 +186,13 @@ func TestDumpRIB(t *testing.T) {
 	if err := peer.Send(&bgp.Update{Withdrawn: ps[2:]}); err != nil {
 		t.Fatalf("Send withdraw: %v", err)
 	}
-	waitFor(t, func() bool { return d.Stats().Received >= 4 })
+	waitFor(t, func() bool { return d.Stats().Written >= 4 })
 
+	// The peer table names the session as the archive's BGP4MP records do.
+	arch, err := mrt.NewReader(bytes.NewReader(out.Bytes())).ReadRecord()
+	if err != nil {
+		t.Fatalf("archive: %v", err)
+	}
 	var buf bytes.Buffer
 	if err := d.DumpRIB(&buf); err != nil {
 		t.Fatalf("DumpRIB: %v", err)
@@ -192,8 +202,16 @@ func TestDumpRIB(t *testing.T) {
 	if err != nil || rec.PeerIndex == nil {
 		t.Fatalf("first record not a peer index: %v %+v", err, rec)
 	}
-	if len(rec.PeerIndex.Peers) != 1 || rec.PeerIndex.Peers[0].AS != 65001 {
-		t.Errorf("peer table %+v", rec.PeerIndex)
+	want := mrt.Peer{
+		BGPID: netip.AddrFrom4([4]byte{192, 0, 2, 65001 & 0xff}), // dialPeer's router ID
+		IP:    netip.MustParseAddr("127.0.0.1"),
+		AS:    65001,
+	}
+	if len(rec.PeerIndex.Peers) != 1 || rec.PeerIndex.Peers[0] != want {
+		t.Errorf("peer table %+v, want [%+v]", rec.PeerIndex.Peers, want)
+	}
+	if arch.BGP4MP.PeerIP != want.IP {
+		t.Errorf("archive stamps peer %v, dump %v", arch.BGP4MP.PeerIP, want.IP)
 	}
 	prefixes := map[netip.Prefix]bool{}
 	for {
@@ -205,12 +223,58 @@ func TestDumpRIB(t *testing.T) {
 			t.Fatalf("ReadRecord: %v", err)
 		}
 		prefixes[rec.RIB.Prefix] = true
+		for _, e := range rec.RIB.Entries {
+			if got := e.Attrs.Communities; len(got) != 1 || got[0] != comm {
+				t.Errorf("%v: communities %v, want [%v]", rec.RIB.Prefix, got, comm)
+			}
+		}
 	}
 	if len(prefixes) != 2 {
 		t.Errorf("RIB has %d prefixes, want 2 (one withdrawn): %v", len(prefixes), prefixes)
 	}
 	if prefixes[ps[2]] {
 		t.Error("withdrawn prefix still in RIB")
+	}
+}
+
+// writerFunc adapts a function to io.Writer.
+type writerFunc func([]byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+func TestDumpRIBDoesNotStallIngest(t *testing.T) {
+	d := New(Config{LocalAS: 65000})
+	defer d.Close()
+	a := dialPeer(t, d, 65001)
+	sendUpdate(t, a, []uint32{65001, 2}, "203.0.113.0/24")
+	waitFor(t, func() bool { return d.Stats().Received >= 1 })
+
+	// Nobody reads the pipe, so the dump blocks in its first write.
+	pr, pw := io.Pipe()
+	defer pr.Close()
+	writing := make(chan struct{})
+	var once sync.Once
+	dumped := make(chan error, 1)
+	go func() {
+		dumped <- d.DumpRIB(writerFunc(func(p []byte) (int, error) {
+			once.Do(func() { close(writing) })
+			return pw.Write(p)
+		}))
+	}()
+	<-writing
+
+	b := dialPeer(t, d, 65002)
+	sendUpdate(t, b, []uint32{65002, 2}, "198.51.100.0/24")
+	deadline := time.Now().Add(2 * time.Second)
+	for d.Stats().Received < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("received %d after 2 s: a blocked RIB dump stalls another VP's ingest", d.Stats().Received)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	pr.Close()
+	if err := <-dumped; !errors.Is(err, io.ErrClosedPipe) {
+		t.Errorf("dump into a closed pipe: %v", err)
 	}
 }
 
@@ -233,11 +297,8 @@ func TestDaemonMultiplePeers(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return d.Stats().Received >= 150 })
-	d.mu.Lock()
-	nPeers := len(d.rib)
-	d.mu.Unlock()
-	if nPeers != 3 {
-		t.Errorf("RIB tracks %d peers, want 3", nPeers)
+	if n := len(d.vpList()); n != 3 {
+		t.Errorf("daemon tracks %d VPs, want 3", n)
 	}
 }
 

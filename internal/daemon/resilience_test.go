@@ -188,8 +188,9 @@ func TestDaemonDegradedModeRetainsEverything(t *testing.T) {
 	})
 	defer d.Close()
 
+	vp := d.register(65001, netip.AddrFrom4([4]byte{10, 0, 0, 1}), netip.AddrFrom4([4]byte{10, 0, 0, 1}))
 	send := func() {
-		d.ingest(65001, netip.AddrFrom4([4]byte{10, 0, 0, 1}), &bgp.Update{
+		d.ingest(vp, &bgp.Update{
 			ASPath: []uint32{65001, 3356},
 			NLRI:   []netip.Prefix{victim},
 		})

@@ -6,7 +6,7 @@ package quality
 // lose data silently — the counters all look plausible individually, and
 // nothing checks that they add up. Here the books must balance:
 //
-//	In = Archived + Filtered + Dropped + Rejected + Lost + Queued
+//	In = Archived + Filtered + Dropped + Lost + Queued
 //
 // with the residual surfaced as quality.unaccounted. A nonzero residual
 // at quiescence means an accounting hole (an update path that neither
@@ -30,9 +30,6 @@ type LedgerCounts struct {
 	// Dropped counts updates shed by queue-overflow policy under
 	// backpressure.
 	Dropped uint64 `json:"dropped"`
-	// Rejected counts protocol-invalid inputs turned away before the
-	// pipeline (counted separately at intake, see daemon accounting).
-	Rejected uint64 `json:"rejected"`
 	// Lost counts updates that reached the archive stage but could not
 	// be written — encode errors, destination write errors, sink errors.
 	Lost uint64 `json:"lost"`
@@ -46,7 +43,7 @@ type LedgerCounts struct {
 // means double counting. Both non-zero cases are bugs once the pipeline
 // is quiescent.
 func (c LedgerCounts) Unaccounted() int64 {
-	return int64(c.In) - int64(c.Archived+c.Filtered+c.Dropped+c.Rejected+c.Lost+c.Queued)
+	return int64(c.In) - int64(c.Archived+c.Filtered+c.Dropped+c.Lost+c.Queued)
 }
 
 // LedgerReport is the ledger as served on /qualityz: the raw buckets plus

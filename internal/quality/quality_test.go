@@ -127,7 +127,7 @@ func TestSelectorSlotCoherence(t *testing.T) {
 }
 
 func TestLedgerUnaccounted(t *testing.T) {
-	balanced := LedgerCounts{In: 100, Archived: 40, Filtered: 30, Dropped: 10, Rejected: 5, Lost: 10, Queued: 5}
+	balanced := LedgerCounts{In: 100, Archived: 40, Filtered: 30, Dropped: 15, Lost: 10, Queued: 5}
 	if r := balanced.Unaccounted(); r != 0 {
 		t.Errorf("balanced ledger residual = %d, want 0", r)
 	}

@@ -2,10 +2,10 @@ package gill_test
 
 // End-to-end exercise of the data-quality plane: a daemon collects over
 // real TCP with the shadow lane and the completeness ledger wired, and the
-// conservation law In = Archived + Filtered + Dropped + Rejected + Lost +
-// Queued must balance to zero residual — in a clean run and under
-// injected archive faults. The shadow lane's ingest cost is the "shadow"
-// row of TestOverheadGuard.
+// conservation law In = Archived + Filtered + Dropped + Lost + Queued must
+// balance to zero residual — in a clean run and under injected archive
+// faults. The shadow lane's ingest cost is the "shadow" row of
+// TestOverheadGuard.
 
 import (
 	"bytes"
@@ -186,7 +186,7 @@ func TestQualityLedgerBalancesUnderChaos(t *testing.T) {
 	if lc.In != n {
 		t.Errorf("ledger In = %d, want %d", lc.In, n)
 	}
-	if got := lc.Archived + lc.Filtered + lc.Dropped + lc.Rejected + lc.Lost + lc.Queued; got != n {
+	if got := lc.Archived + lc.Filtered + lc.Dropped + lc.Lost + lc.Queued; got != n {
 		t.Errorf("buckets sum to %d, want %d: %+v", got, n, lc)
 	}
 }
