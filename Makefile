@@ -205,18 +205,14 @@ WORKLOAD ?= saturate
 bench-profile:
 	WORKLOAD=$(WORKLOAD) BENCH_SEED=$(BENCH_SEED) GO=$(GO) sh scripts/bench_profile.sh
 
-# census fails, naming each one, when a repro/internal/... package is not
-# among the dependencies of any cmd/ binary: code no binary runs is dead
-# weight, and this keeps it from quietly regrowing. CENSUS_TEST_ONLY names
-# the packages that exist for tests alone (the fault-injection harness).
-CENSUS_TEST_ONLY = repro/internal/faults
+# census runs TestCensus (census_test.go): it fails, naming each one, when
+# a repro/internal/... package is not reached from any cmd/ binary, or when
+# an exported func or method under internal/ has no caller in a non-test
+# file of the module (bench/ and examples/ included). Test-only packages
+# and test-only symbols stay only through the test's allowlists, each with
+# its reason. It also runs in `go test ./...`.
 census:
-	@deps="$$($(GO) list -deps ./cmd/...) $(CENSUS_TEST_ONLY)" && pkgs=$$($(GO) list ./internal/...) && \
-	dead=$$(for p in $$pkgs; do echo "$$deps" | tr ' ' '\n' | grep -qxF "$$p" || echo "$$p"; done) && \
-	if [ -n "$$dead" ]; then \
-		echo "census: FAIL: no cmd/ binary reaches:"; echo "$$dead" | sed 's/^/  /'; exit 1; \
-	fi; \
-	echo "census: every internal package is reached from cmd/"
+	$(GO) test -count=1 -run TestCensus .
 
 # loc prints the three line counts CHANGES.md reports a PR's LoC delta
 # in: tracked non-test Go and test Go outside bench/ (the benchmark is
@@ -239,7 +235,8 @@ loc:
 # live → silent → live classification against a real daemon plus the
 # offline archive-gap audit), the codec fuzz smoke (no
 # decoder panics, lazy/eager agreement, encode fixed points), the
-# census (every internal package is reached from a cmd/ binary), and the
+# census (every internal package is reached from a cmd/ binary and every
+# exported func under internal/ has a non-test caller), and the
 # bench guard (no guarded benchmark metric may regress past the
 # committed baselines; codec allocs/op may not increase at all).
 verify:

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/anchors"
+	"repro/internal/core"
 	"repro/internal/correlation"
 	"repro/internal/experiments"
 	"repro/internal/update"
@@ -54,7 +55,7 @@ func BenchmarkAblation_Gamma(b *testing.B) {
 	evs := anchors.DetectEvents(sc.Baseline, train, len(sc.VPs), anchors.DefaultBand())
 	rep := anchors.NewReplayer(sc.Baseline, train)
 	scores := anchors.Scores(rep.VPs(), rep.EventVectors(evs))
-	volume := experiments.VolumeByVP(train)
+	volume := core.VolumeByVP(train)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, gamma := range []float64{0.01, 0.10, 0.50} {

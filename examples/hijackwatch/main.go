@@ -9,26 +9,30 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
+	"net/netip"
+	"slices"
 	"time"
 
-	gill "repro"
 	"repro/internal/dfoh"
 	"repro/internal/simulate"
+	"repro/internal/topology"
+	"repro/internal/update"
 )
 
 func main() {
-	topo := gill.GenerateTopology(250, 7)
-	sim := gill.NewSimulator(topo, 7)
+	topo := topology.Generate(topology.DefaultGenConfig(250), rand.New(rand.NewSource(7)))
+	sim := simulate.New(topo, 7)
 	ases := topo.ASes()
 	var vps []uint32
 	for i := 0; i < 20; i++ {
 		vps = append(vps, ases[i*len(ases)/20])
 	}
-	coll := gill.NewCollector(sim, vps)
+	coll := simulate.NewCollector(sim, vps, simulate.DefaultCollectorConfig())
 
 	// Train the detector on the stable baseline: every VP's current table.
 	t0 := time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
-	var baseline []*gill.Update
+	var baseline []*update.Update
 	for _, vp := range vps {
 		baseline = append(baseline, coll.RIBUpdates(vp, t0)...)
 	}
@@ -38,10 +42,14 @@ func main() {
 	// An attacker launches Type-1 hijacks against three victims.
 	owners := topo.AllPrefixes()
 	var victims []uint32
-	var prefixes []gill.Update
-	_ = prefixes
 	count := 0
-	for p, victim := range owners {
+	var ps []netip.Prefix
+	for p := range owners {
+		ps = append(ps, p)
+	}
+	slices.SortFunc(ps, update.ComparePrefix)
+	for _, p := range ps {
+		victim := owners[p]
 		if count >= 3 {
 			break
 		}
@@ -52,7 +60,7 @@ func main() {
 		count++
 		victims = append(victims, victim)
 		at := t0.Add(time.Duration(count) * time.Hour)
-		updates := coll.Apply(gill.Event{
+		updates := coll.Apply(simulate.Event{
 			At: at, Kind: simulate.HijackStart, Prefix: p,
 			Attacker: attacker, Tail: []uint32{victim},
 		})
@@ -70,7 +78,7 @@ func main() {
 			fmt.Printf("  new origin-adjacent link %d→%d score %.2f → %s (seen by %s)\n",
 				c.From, c.To, c.Score, verdict, c.Update.VP)
 		}
-		coll.Apply(gill.Event{At: at.Add(30 * time.Minute), Kind: simulate.HijackEnd, Prefix: p})
+		coll.Apply(simulate.Event{At: at.Add(30 * time.Minute), Kind: simulate.HijackEnd, Prefix: p})
 	}
 	fmt.Printf("\nmonitored %d hijacks against victims %v\n", count, victims)
 }

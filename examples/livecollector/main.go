@@ -20,9 +20,10 @@ import (
 	"net/url"
 	"time"
 
-	gill "repro"
 	"repro/internal/bgp"
+	"repro/internal/daemon"
 	"repro/internal/filter"
+	"repro/internal/metrics"
 	"repro/internal/mrt"
 	"repro/internal/orchestrator"
 	"repro/internal/stream"
@@ -35,7 +36,7 @@ func main() {
 	registry := orchestrator.VerifierFunc(func(email string, asn uint32) bool {
 		return email == "noc@example.net" && asn == 65001
 	})
-	orch := gill.NewOrchestrator(registry)
+	orch := orchestrator.New(registry, nil)
 	if err := orch.SubmitPeering(orchestrator.PeeringRequest{
 		ASN: 65001, Email: "noc@example.net",
 		RouterIP: netip.MustParseAddr("127.0.0.1"),
@@ -66,7 +67,7 @@ func main() {
 	// 3. The live feed: retained updates stream to subscribers in near
 	// real time through the pipeline's live stage and the stream hub,
 	// served as NDJSON over HTTP the way gill-daemon's /stream is.
-	feed := gill.NewStreamHub(gill.StreamConfig{})
+	feed := stream.NewHub(stream.Config{})
 	feedLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -95,8 +96,8 @@ func main() {
 	// 4. The daemon: its ingest path is the sharded pipeline
 	// filter → live → archive, with per-stage accounting.
 	var archive bytes.Buffer
-	metricsReg := gill.NewMetricsRegistry()
-	d := gill.NewDaemon(gill.DaemonConfig{
+	metricsReg := metrics.NewRegistry()
+	d := daemon.New(daemon.Config{
 		LocalAS:  65000,
 		RouterID: netip.MustParseAddr("192.0.2.1"),
 		Filters:  orch.Filters(),

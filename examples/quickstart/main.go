@@ -7,29 +7,32 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"net/netip"
 	"time"
 
-	gill "repro"
+	"repro/internal/core"
 	"repro/internal/simulate"
 	"repro/internal/topology"
+	"repro/internal/update"
+	"repro/internal/usecases"
 )
 
 func main() {
 	// 1. A 300-AS Internet with Gao-Rexford policies and heavy-tailed
 	// prefix counts (the paper's §3.1 methodology).
-	topo := gill.GenerateTopology(300, 42)
+	topo := topology.Generate(topology.DefaultGenConfig(300), rand.New(rand.NewSource(42)))
 	fmt.Printf("generated %d ASes, %d links, %d prefixes\n",
 		len(topo.ASes()), len(topo.Links), len(topo.AllPrefixes()))
 
 	// 2. Deploy 15 vantage points and snapshot their baseline RIBs.
-	sim := gill.NewSimulator(topo, 42)
+	sim := simulate.New(topo, 42)
 	ases := topo.ASes()
 	var vps []uint32
 	for i := 0; i < 15; i++ {
 		vps = append(vps, ases[i*len(ases)/15])
 	}
-	coll := gill.NewCollector(sim, vps)
+	coll := simulate.NewCollector(sim, vps, simulate.DefaultCollectorConfig())
 	baseline := make(map[string]map[netip.Prefix][]uint32)
 	for _, vp := range vps {
 		baseline[simulate.VPName(vp)] = coll.RIB(vp)
@@ -38,36 +41,36 @@ func main() {
 	// 3. Replay a day of routing events: a few flappy links failing and
 	// recovering.
 	t0 := time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
-	var stream []*gill.Update
+	var stream []*update.Update
 	flappy := []int{0, 7, 21}
 	for hour := 0; hour < 12; hour++ {
 		link := topo.Links[flappy[hour%len(flappy)]]
 		at := t0.Add(time.Duration(hour) * time.Hour)
-		stream = append(stream, coll.Apply(gill.Event{
+		stream = append(stream, coll.Apply(simulate.Event{
 			At: at, Kind: simulate.LinkFail, A: link.A, B: link.B})...)
-		stream = append(stream, coll.Apply(gill.Event{
+		stream = append(stream, coll.Apply(simulate.Event{
 			At: at.Add(20 * time.Minute), Kind: simulate.LinkRestore, A: link.A, B: link.B})...)
 	}
-	gill.Annotate(stream)
+	update.Annotate(stream)
 	fmt.Printf("collected %d updates from %d VPs\n", len(stream), len(vps))
 
 	// 4. How redundant is the raw stream? (§4.2)
-	for def := gill.Def1; def <= gill.Def3; def++ {
+	for def := update.Def1; def <= update.Def3; def++ {
 		fmt.Printf("  redundant under Def. %d: %.0f%%\n",
-			def, 100*gill.RedundantFraction(def, stream))
+			def, 100*update.RedundantFraction(def, stream))
 	}
 
 	// 5. Train GILL: correlation groups + reconstitution power find
 	// redundant updates; topological features pick anchor VPs; both
 	// compile into coarse (VP, prefix) filters.
-	cfg := gill.DefaultConfig()
+	cfg := core.DefaultConfig()
 	cfg.EventsPerCell = 5
-	model := gill.Train(gill.TrainingData{
+	model := core.Train(core.TrainingData{
 		Updates:    stream,
 		Baseline:   baseline,
 		Categories: topology.Categorize(topo),
 		TotalVPs:   len(vps),
-	}, cfg, 42)
+	}, cfg, rand.New(rand.NewSource(42)))
 
 	fmt.Printf("trained: %d drop rules, anchors = %v\n",
 		model.Filters.NumDrops(), model.Anchors)
@@ -76,7 +79,7 @@ func main() {
 
 	// 6. The retained sample still supports the benchmark analyses.
 	sample := model.Sampler().Sample(stream, 0)
-	for _, ev := range gill.UseCases(simulate.IsActionCommunity) {
+	for _, ev := range usecases.All(simulate.IsActionCommunity) {
 		ground := ev.Keys(stream)
 		if len(ground) == 0 {
 			continue

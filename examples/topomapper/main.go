@@ -8,16 +8,17 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
-	gill "repro"
 	"repro/internal/relationships"
+	"repro/internal/simulate"
 	"repro/internal/topology"
 )
 
 func main() {
-	topo := gill.GenerateTopology(400, 11)
-	sim := gill.NewSimulator(topo, 11)
+	topo := topology.Generate(topology.DefaultGenConfig(400), rand.New(rand.NewSource(11)))
+	sim := simulate.New(topo, 11)
 	ases := topo.ASes()
 
 	// Collect best paths from a growing number of vantage points and show
@@ -26,7 +27,7 @@ func main() {
 		var paths [][]uint32
 		for d := 0; d < 120; d++ {
 			dest := ases[d*len(ases)/120]
-			routes := sim.ComputeRoutes([]gill.SimOrigin{{AS: dest}})
+			routes := sim.ComputeRoutes([]simulate.Origin{{AS: dest}})
 			for v := 0; v < nVPs; v++ {
 				vp := ases[v*len(ases)/nVPs]
 				if p := routes.Path(vp); len(p) >= 2 {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
+	"repro/internal/telemetry"
 )
 
 // benchAgent is one fleet member for the bench: an agent with its own
@@ -111,7 +112,7 @@ func TestFabricBenchReport(t *testing.T) {
 	wait("full assignment", func() bool {
 		total := 0
 		for _, a := range agents {
-			total += len(a.agent.Shard())
+			total += len(a.agent.Status().VPs)
 		}
 		return total == numVPs
 	})
@@ -120,7 +121,7 @@ func TestFabricBenchReport(t *testing.T) {
 	fs := filter.NewSet(filter.GranVPPrefix)
 	fs.AddAnchor("vp65001")
 	distributedAt := time.Now()
-	coord.DistributeFilters(fs)
+	coord.DistributeFiltersTraced(telemetry.SpanContext{}, fs)
 	wantGen, wantSum := coord.FilterGen()
 	wait("fleet-wide filter install", func() bool {
 		for _, a := range agents {
@@ -154,7 +155,7 @@ func TestFabricBenchReport(t *testing.T) {
 	}
 
 	// Failover: SIGKILL-equivalent on c1, clock the full shard handoff.
-	victimShard := agents["c1"].agent.Shard()
+	victimShard := agents["c1"].agent.Status().VPs
 	if len(victimShard) == 0 {
 		t.Fatal("c1 owns no VPs; bench degenerate")
 	}
@@ -162,7 +163,7 @@ func TestFabricBenchReport(t *testing.T) {
 	agents["c1"].cancel()
 	wait("shard reassignment", func() bool {
 		for _, vp := range victimShard {
-			owner := coord.OwnerOf(vp)
+			owner := coord.Assignment()[vp]
 			if owner == "" || owner == "c1" {
 				return false
 			}

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"math/rand"
 	"net"
 	"net/http/httptest"
 	"net/netip"
@@ -17,8 +18,8 @@ import (
 	"testing"
 	"time"
 
-	gill "repro"
 	"repro/internal/bgp"
+	"repro/internal/core"
 	"repro/internal/daemon"
 	"repro/internal/mrt"
 	"repro/internal/orchestrator"
@@ -37,7 +38,7 @@ func TestPlatformIntegration(t *testing.T) {
 		return email == "noc@as65001.example" && asn == 65001 ||
 			email == "noc@as65002.example" && asn == 65002
 	})
-	orch := gill.NewOrchestrator(registry)
+	orch := orchestrator.New(registry, nil)
 	for _, req := range []orchestrator.PeeringRequest{
 		{ASN: 65001, Email: "noc@as65001.example", RouterIP: netip.MustParseAddr("127.0.0.1")},
 		{ASN: 65002, Email: "noc@as65002.example", RouterIP: netip.MustParseAddr("127.0.0.1")},
@@ -61,30 +62,30 @@ func TestPlatformIntegration(t *testing.T) {
 	}
 
 	// --- 2. Train GILL on a simulated mirrored window and load filters.
-	topo := gill.GenerateTopology(150, 9)
-	sim := gill.NewSimulator(topo, 9)
+	topo := topology.Generate(topology.DefaultGenConfig(150), rand.New(rand.NewSource(9)))
+	sim := simulate.New(topo, 9)
 	ases := topo.ASes()
 	vps := []uint32{ases[5], ases[30], ases[60], ases[90], ases[120]}
-	coll := gill.NewCollector(sim, vps)
+	coll := simulate.NewCollector(sim, vps, simulate.DefaultCollectorConfig())
 	baseline := make(map[string]map[netip.Prefix][]uint32)
 	for _, vp := range vps {
 		baseline[simulate.VPName(vp)] = coll.RIB(vp)
 	}
 	t0 := time.Date(2023, 9, 1, 0, 0, 0, 0, time.UTC)
-	var mirrored []*gill.Update
+	var mirrored []*update.Update
 	link := topo.Links[2]
 	for i := 0; i < 5; i++ {
 		at := t0.Add(time.Duration(i) * time.Hour)
-		mirrored = append(mirrored, coll.Apply(gill.Event{At: at, Kind: simulate.LinkFail, A: link.A, B: link.B})...)
-		mirrored = append(mirrored, coll.Apply(gill.Event{At: at.Add(20 * time.Minute), Kind: simulate.LinkRestore, A: link.A, B: link.B})...)
+		mirrored = append(mirrored, coll.Apply(simulate.Event{At: at, Kind: simulate.LinkFail, A: link.A, B: link.B})...)
+		mirrored = append(mirrored, coll.Apply(simulate.Event{At: at.Add(20 * time.Minute), Kind: simulate.LinkRestore, A: link.A, B: link.B})...)
 	}
-	gill.Annotate(mirrored)
-	cfg := gill.DefaultConfig()
+	update.Annotate(mirrored)
+	cfg := core.DefaultConfig()
 	cfg.EventsPerCell = 3
-	model := gill.Train(gill.TrainingData{
+	model := core.Train(core.TrainingData{
 		Updates: mirrored, Baseline: baseline,
 		Categories: topology.Categorize(topo), TotalVPs: len(vps),
-	}, cfg, 9)
+	}, cfg, rand.New(rand.NewSource(9)))
 	orch.LoadFilters(model.Filters, 1)
 	if due1, _ := orch.Due(); due1 {
 		t.Error("component #1 still due after LoadFilters")

@@ -34,13 +34,8 @@ func (u *Update) AppendAttributes(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// MarshalAttributes encodes the path-attribute portion into a fresh slice.
-func (u *Update) MarshalAttributes() ([]byte, error) {
-	return u.AppendAttributes(nil)
-}
-
 // UnmarshalAttributes decodes a bare path-attribute byte string into u,
-// the inverse of MarshalAttributes.
+// the inverse of AppendAttributes.
 func (u *Update) UnmarshalAttributes(b []byte) error {
 	*u = Update{}
 	return u.parseAttrs(b, false)

@@ -8,9 +8,9 @@ import (
 
 func TestMarshalAttributesAlwaysEmitsOriginAndPath(t *testing.T) {
 	u := Update{Origin: OriginEGP, ASPath: []uint32{1, 400001}}
-	b, err := u.MarshalAttributes()
+	b, err := u.AppendAttributes(nil)
 	if err != nil {
-		t.Fatalf("MarshalAttributes: %v", err)
+		t.Fatalf("AppendAttributes: %v", err)
 	}
 	var got Update
 	if err := got.UnmarshalAttributes(b); err != nil {
@@ -32,9 +32,9 @@ func TestMarshalAttributesOptional(t *testing.T) {
 		HasLocal:    true,
 		Communities: []Community{1, 2, 3},
 	}
-	b, err := u.MarshalAttributes()
+	b, err := u.AppendAttributes(nil)
 	if err != nil {
-		t.Fatalf("MarshalAttributes: %v", err)
+		t.Fatalf("AppendAttributes: %v", err)
 	}
 	var got Update
 	if err := got.UnmarshalAttributes(b); err != nil {

@@ -20,7 +20,7 @@ var goldenWire = map[string]string{
 	"host-routes":   "ffffffffffffffffffffffffffffffff004d020000003040010100400222020800000001000000020000000300000004000000050000000600000007000000084003040a09090920c000020100",
 }
 
-// goldenAttrsFullV4 is the MarshalAttributes output for the full-v4 update.
+// goldenAttrsFullV4 is the AppendAttributes output for the full-v4 update.
 const goldenAttrsFullV4 = "4001010040020e02030000fde90000fdea00061a81400304c00002fe8004040000000a40050400000064c00808fde90064fde900c8"
 
 // goldenPath255 is the seed encoding of a 255-ASN path (one maximal
@@ -136,9 +136,9 @@ func TestGoldenWire(t *testing.T) {
 
 func TestGoldenAttributes(t *testing.T) {
 	u := goldenUpdates()["full-v4"]
-	got, err := u.MarshalAttributes()
+	got, err := u.AppendAttributes(nil)
 	if err != nil {
-		t.Fatalf("MarshalAttributes: %v", err)
+		t.Fatalf("AppendAttributes: %v", err)
 	}
 	if want := unhex(goldenAttrsFullV4); !bytes.Equal(got, want) {
 		t.Errorf("attribute encoder drifted\n got %x\nwant %x", got, want)
@@ -147,9 +147,9 @@ func TestGoldenAttributes(t *testing.T) {
 	if err := back.UnmarshalAttributes(got); err != nil {
 		t.Fatalf("UnmarshalAttributes: %v", err)
 	}
-	re, err := back.MarshalAttributes()
+	re, err := back.AppendAttributes(nil)
 	if err != nil {
-		t.Fatalf("re-MarshalAttributes: %v", err)
+		t.Fatalf("re-AppendAttributes: %v", err)
 	}
 	if !bytes.Equal(re, got) {
 		t.Error("attribute round trip not byte-identical")

@@ -151,16 +151,6 @@ func (o *Open) unmarshalBody(src []byte) error {
 	return nil
 }
 
-// FourOctetAS reports whether the peer advertised RFC 6793 support.
-func (o *Open) FourOctetAS() bool {
-	for _, c := range o.Capabilities {
-		if c.Code == CapFourOctetAS && len(c.Value) == 4 {
-			return true
-		}
-	}
-	return false
-}
-
 // Keepalive is the BGP KEEPALIVE message: a bare header.
 type Keepalive struct{}
 

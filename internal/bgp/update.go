@@ -52,18 +52,6 @@ func (c Community) String() string {
 	return fmt.Sprintf("%d:%d", uint32(c)>>16, uint32(c)&0xffff)
 }
 
-// ParseCommunity parses "ASN:value" into a Community.
-func ParseCommunity(s string) (Community, error) {
-	var hi, lo uint32
-	if _, err := fmt.Sscanf(s, "%d:%d", &hi, &lo); err != nil {
-		return 0, fmt.Errorf("bgp: bad community %q: %w", s, err)
-	}
-	if hi > 0xffff || lo > 0xffff {
-		return 0, fmt.Errorf("bgp: community %q out of range", s)
-	}
-	return Community(hi<<16 | lo), nil
-}
-
 // Update is the BGP UPDATE message. The codec always encodes AS_PATH with
 // 4-octet ASNs (both ends of every session this package establishes
 // advertise RFC 6793 support). IPv6 NLRI travel in MP_REACH/MP_UNREACH.
@@ -144,13 +132,6 @@ func (u *Update) Comms() []Community {
 		u.commsDone = true
 	}
 	return u.Communities
-}
-
-// IsWithdrawOnly reports whether the update withdraws routes without
-// announcing any.
-func (u *Update) IsWithdrawOnly() bool {
-	return len(u.NLRI) == 0 && len(u.V6NLRI) == 0 &&
-		(len(u.Withdrawn) > 0 || len(u.V6Withdrawn) > 0)
 }
 
 // appendAttrHeader appends one path-attribute header, choosing extended

@@ -167,6 +167,30 @@ func TestRunCrossPrefix(t *testing.T) {
 	}
 }
 
+// TestRunSameAddressPrefixesDeterministic: 10.0.0.0/8 and 10.0.0.0/16
+// share an address and carry identical update sequences, so the
+// cross-prefix step keeps whichever comes first in prefix order. That
+// order must not fall to map iteration: every run keeps the shorter
+// prefix.
+func TestRunSameAddressPrefixesDeterministic(t *testing.T) {
+	short, long := netip.MustParsePrefix("10.0.0.0/8"), netip.MustParsePrefix("10.0.0.0/16")
+	var us []*update.Update
+	for _, u := range fig10() {
+		for _, p := range []netip.Prefix{short, long} {
+			cp := *u
+			cp.Prefix = p
+			us = append(us, &cp)
+		}
+	}
+	for run := 0; run < 200; run++ {
+		res := Run(us, DefaultConfig())
+		if len(res.Retained[short]) != 1 || len(res.Retained[long]) != 0 {
+			t.Fatalf("run %d: retained %v on %v and %v on %v; want the one subset on the shorter prefix",
+				run, res.Retained[short], short, res.Retained[long], long)
+		}
+	}
+}
+
 func TestRunDistinctPrefixesNotCollapsed(t *testing.T) {
 	// p2 sees a genuinely different sequence: both prefixes stay.
 	var us []*update.Update

@@ -2,6 +2,7 @@ package correlation
 
 import (
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 
@@ -32,17 +33,6 @@ func (r *Result) IsRedundant(u *update.Update) bool {
 	return !vps[u.VP]
 }
 
-// RetainedCount returns how many of the given updates the result retains.
-func (r *Result) RetainedCount(us []*update.Update) int {
-	n := 0
-	for _, u := range us {
-		if !r.IsRedundant(u) {
-			n++
-		}
-	}
-	return n
-}
-
 // Run executes Component #1 (§17.1–§17.3) over a training set of updates.
 //
 // The per-prefix work (AnalyzePrefix + Greedy) is embarrassingly parallel
@@ -62,7 +52,7 @@ func Run(us []*update.Update, cfg Config) *Result {
 	for p := range byPrefix {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Addr().Less(prefixes[j].Addr()) })
+	slices.SortFunc(prefixes, update.ComparePrefix)
 
 	if cfg.Cache != nil {
 		cfg.Cache.reconcile(cfg)

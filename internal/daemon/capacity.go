@@ -27,21 +27,6 @@ type CapacityModel struct {
 	DropFraction float64
 }
 
-// SustainablePeers returns how many peers at the given per-peer hourly
-// rate a single CPU can serve without loss.
-func (m CapacityModel) SustainablePeers(ratePerHour int) int {
-	per := m.PerUpdateCost + time.Duration((1-m.DropFraction)*float64(m.PerWriteCost))
-	if per <= 0 {
-		return 1 << 30
-	}
-	capacity := float64(time.Second) / float64(per) // updates per second
-	offeredPerPeer := float64(ratePerHour) / 3600
-	if offeredPerPeer <= 0 {
-		return 1 << 30
-	}
-	return int(capacity / offeredPerPeer)
-}
-
 // LossFraction returns the share of updates lost with the given number of
 // peers each sending ratePerHour updates.
 func (m CapacityModel) LossFraction(peers, ratePerHour int) float64 {

@@ -20,6 +20,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -491,7 +492,7 @@ func (d *Daemon) DumpRIB(w io.Writer) error {
 	for p := range byPrefix {
 		prefixes = append(prefixes, p)
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i].Addr().Less(prefixes[j].Addr()) })
+	slices.SortFunc(prefixes, update.ComparePrefix)
 	for seq, p := range prefixes {
 		sub := uint16(mrt.SubtypeRIBIPv4Unicast)
 		if p.Addr().Is6() {

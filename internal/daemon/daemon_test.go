@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -237,6 +238,66 @@ func TestDumpRIB(t *testing.T) {
 	}
 }
 
+// TestDumpRIBPrefixOrderDeterministic: prefixes that share an address
+// (10.0.0.0/8 and /16, 2001:db8::/32 and /48) must not come out in map
+// order. Twenty dumps of one RIB are byte-identical, and the shorter
+// prefix of each pair comes first.
+func TestDumpRIBPrefixOrderDeterministic(t *testing.T) {
+	at := time.Date(2026, 10, 1, 0, 0, 0, 0, time.UTC)
+	d := New(Config{LocalAS: 65000, Clock: func() time.Time { return at }})
+	defer d.Close()
+	peer := dialPeer(t, d, 65001)
+	want := []netip.Prefix{
+		netip.MustParsePrefix("10.0.0.0/8"),
+		netip.MustParsePrefix("10.0.0.0/16"),
+		netip.MustParsePrefix("2001:db8::/32"),
+		netip.MustParsePrefix("2001:db8::/48"),
+	}
+	for _, p := range want {
+		u := &bgp.Update{Origin: bgp.OriginIGP, ASPath: []uint32{65001, 64999}}
+		if p.Addr().Is6() {
+			u.V6NextHop, u.V6NLRI = netip.MustParseAddr("2001:db8::5"), []netip.Prefix{p}
+		} else {
+			u.NextHop, u.NLRI = netip.MustParseAddr("192.0.2.5"), []netip.Prefix{p}
+		}
+		if err := peer.Send(u); err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+	}
+	waitFor(t, func() bool { return d.Stats().Received >= uint64(len(want)) })
+
+	var first []byte
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := d.DumpRIB(&buf); err != nil {
+			t.Fatalf("DumpRIB: %v", err)
+		}
+		if i == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("dump %d differs from dump 0", i)
+		}
+	}
+	r := mrt.NewReader(bytes.NewReader(first))
+	if _, err := r.ReadRecord(); err != nil {
+		t.Fatalf("peer index: %v", err)
+	}
+	var got []netip.Prefix
+	for {
+		rec, err := r.ReadRecord()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("ReadRecord: %v", err)
+		}
+		got = append(got, rec.RIB.Prefix)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("dump order %v, want %v", got, want)
+	}
+}
+
 // writerFunc adapts a function to io.Writer.
 type writerFunc func([]byte) (int, error)
 
@@ -309,12 +370,12 @@ func TestCapacityModel(t *testing.T) {
 		DropFraction:  0,
 	}
 	// Capacity: 100k upd/s. At 28k/h ≈ 7.8 upd/s per peer → ≈12.8k peers.
-	peers := m.SustainablePeers(workload.AvgUpdatesPerHour)
-	if peers < 10000 || peers > 16000 {
-		t.Errorf("sustainable peers = %d, want ≈12.8k", peers)
-	}
-	if l := m.LossFraction(peers/2, workload.AvgUpdatesPerHour); l != 0 {
+	const peers = 12800
+	if l := m.LossFraction(10000, workload.AvgUpdatesPerHour); l != 0 {
 		t.Errorf("loss below capacity = %v", l)
+	}
+	if l := m.LossFraction(16000, workload.AvgUpdatesPerHour); l <= 0 {
+		t.Errorf("loss above ≈12.8k peers = %v, want > 0", l)
 	}
 	if l := m.LossFraction(peers*4, workload.AvgUpdatesPerHour); l < 0.5 {
 		t.Errorf("loss at 4x capacity = %v, want ≥0.5", l)
@@ -326,9 +387,8 @@ func TestCapacityModel(t *testing.T) {
 		PerWriteCost:  m.PerWriteCost,
 		DropFraction:  0.93,
 	}
-	if withFilters.SustainablePeers(workload.AvgUpdatesPerHour) < 4*peers {
-		t.Errorf("filtering should multiply capacity: %d vs %d",
-			withFilters.SustainablePeers(workload.AvgUpdatesPerHour), peers)
+	if l := withFilters.LossFraction(4*peers, workload.AvgUpdatesPerHour); l != 0 {
+		t.Errorf("filtering should multiply capacity: loss %v at %d peers", l, 4*peers)
 	}
 }
 

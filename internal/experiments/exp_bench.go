@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
@@ -158,28 +157,4 @@ func vpDistances(topo *topology.Topology, vps []uint32) func(a, b string) int {
 		}
 		return 1 << 20
 	}
-}
-
-// Wins tallies, per baseline, on how many use cases GILL strictly
-// outperforms it (by more than eps).
-func (r Table2Result) Wins(eps float64) map[string]int {
-	out := make(map[string]int)
-	for _, s := range r.Samplers {
-		if s == "gill" {
-			continue
-		}
-		for _, uc := range Table2UseCases {
-			if r.Scores[uc]["gill"] > r.Scores[uc][s]+eps {
-				out[s]++
-			}
-		}
-	}
-	return out
-}
-
-// SortedSamplers returns the sampler names sorted (for stable reporting).
-func (r Table2Result) SortedSamplers() []string {
-	out := append([]string(nil), r.Samplers...)
-	sort.Strings(out)
-	return out
 }

@@ -331,10 +331,9 @@ func TestRegistryComplete(t *testing.T) {
 		"sec3", "sec4", "sec6", "sec7", "sec12a", "sec12b", "sec12c",
 		"table1", "table2", "table3", "table5",
 	}
-	ids := IDs()
 	have := map[string]bool{}
-	for _, id := range ids {
-		have[id] = true
+	for _, r := range Registry() {
+		have[r.ID] = true
 	}
 	for _, w := range want {
 		if !have[w] {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Scale selects the experiment sizing.
@@ -138,14 +137,4 @@ func Lookup(id string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
-}
-
-// IDs returns all experiment ids, sorted.
-func IDs() []string {
-	var out []string
-	for _, r := range Registry() {
-		out = append(out, r.ID)
-	}
-	sort.Strings(out)
-	return out
 }

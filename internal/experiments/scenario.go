@@ -8,7 +8,7 @@ package experiments
 import (
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/simulate"
@@ -291,15 +291,6 @@ func (sc *Scenario) EvalHijacks(cut time.Time) []HijackCase {
 	return out
 }
 
-// VolumeByVP counts updates per VP (the anchor-selection volume input).
-func VolumeByVP(us []*update.Update) map[string]int {
-	out := make(map[string]int)
-	for _, u := range us {
-		out[u.VP]++
-	}
-	return out
-}
-
 // InSample reports which of the given event updates survive in a sample
 // (pointer identity, as samplers subset the original stream).
 func InSample(sample []*update.Update, eventUpdates []*update.Update) []*update.Update {
@@ -331,6 +322,6 @@ func allPrefixes(topo *topology.Topology) []netip.Prefix {
 		out = append(out, p)
 	}
 	// Deterministic order.
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr().Less(out[j].Addr()) })
+	slices.SortFunc(out, update.ComparePrefix)
 	return out
 }

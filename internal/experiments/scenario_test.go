@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -154,7 +155,7 @@ func TestCoreTrainPipeline(t *testing.T) {
 		t.Errorf("retained fraction %v not in (0,1)", kept)
 	}
 	for _, u := range train {
-		if m.Filters.IsAnchor(u.VP) && !m.Keep(u) {
+		if slices.Contains(m.Filters.Anchors(), u.VP) && !m.Keep(u) {
 			t.Fatal("anchor update dropped")
 		}
 	}

@@ -391,20 +391,6 @@ func (a *Agent) Connected() bool {
 	return a.connected
 }
 
-// AssignGen returns the installed assignment generation.
-func (a *Agent) AssignGen() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.assignGen
-}
-
-// Shard returns the currently assigned VPs (sorted copy).
-func (a *Agent) Shard() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]string(nil), a.shard...)
-}
-
 // FilterGen returns the installed filter generation and byte digest.
 func (a *Agent) FilterGen() (gen, sum uint64) {
 	a.mu.Lock()

@@ -206,20 +206,6 @@ func (c *Coordinator) Assignment() map[string]string {
 	return out
 }
 
-// OwnerOf returns the collector currently assigned vp ("" if none).
-func (c *Coordinator) OwnerOf(vp string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.assignment[vp]
-}
-
-// AssignGen returns the current assignment generation.
-func (c *Coordinator) AssignGen() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.assignGen
-}
-
 // FilterGen returns the current filter generation and its byte digest.
 func (c *Coordinator) FilterGen() (gen, sum uint64) {
 	c.mu.Lock()
@@ -339,23 +325,20 @@ func (c *Coordinator) deliver(pushes []push) {
 	wg.Wait()
 }
 
-// DistributeFilters marshals fs once and pushes it to every connected
-// collector under a fresh filter generation. Its signature matches
-// orchestrator.Subscribe's hook, so the orchestrator's in-process fan-out
-// becomes fleet-wide distribution with one Subscribe call. Unreachable
-// collectors are repaired later: their heartbeats report the stale
-// installed generation and the coordinator re-pushes (and the daemon's
-// FilterTTL watchdog degrades to retain-everything in the meantime, so a
-// partitioned collector overshoots instead of dropping data).
-func (c *Coordinator) DistributeFilters(fs *filter.Set) {
-	c.DistributeFiltersTraced(telemetry.SpanContext{}, fs)
-}
-
-// DistributeFiltersTraced is DistributeFilters under a propagated parent
-// span (the orchestrator's refresh span): the coordinator records its own
-// distribution span as a child and stamps that span's context on every
-// pushed frame, so one refresh yields one orchestrator → coordinator →
-// collector trace. A zero parent starts a fresh root trace.
+// DistributeFiltersTraced marshals fs once and pushes it to every
+// connected collector under a fresh filter generation. Its signature
+// matches orchestrator.SubscribeTraced's hook, so the orchestrator's
+// in-process fan-out becomes fleet-wide distribution with one call.
+// Unreachable collectors are repaired later: their heartbeats report the
+// stale installed generation and the coordinator re-pushes (and the
+// daemon's FilterTTL watchdog degrades to retain-everything in the
+// meantime, so a partitioned collector overshoots instead of dropping
+// data).
+//
+// The coordinator records its own distribution span as a child of parent
+// (the orchestrator's refresh span) and stamps that span's context on
+// every pushed frame, so one refresh yields one orchestrator →
+// coordinator → collector trace. A zero parent starts a fresh root trace.
 func (c *Coordinator) DistributeFiltersTraced(parent telemetry.SpanContext, fs *filter.Set) {
 	var buf bytes.Buffer
 	if err := fs.Marshal(&buf); err != nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
+	"repro/internal/telemetry"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -87,19 +88,19 @@ func TestFabricAssignAndDistribute(t *testing.T) {
 	a2, _ := startAgent(t, AgentConfig{ID: "c2", Coordinator: addr, Addr: "2.2.2.2:179", OnFilters: onFilters("c2")})
 
 	waitFor(t, "both agents assigned", func() bool {
-		return a1.AssignGen() > 0 && a2.AssignGen() > 0 &&
-			a1.AssignGen() == a2.AssignGen() &&
-			len(a1.Shard())+len(a2.Shard()) == len(vps)
+		return a1.Status().AssignGen > 0 && a2.Status().AssignGen > 0 &&
+			a1.Status().AssignGen == a2.Status().AssignGen &&
+			len(a1.Status().VPs)+len(a2.Status().VPs) == len(vps)
 	})
 
 	// The installed shards must partition the VP universe exactly as the
 	// coordinator's map says.
 	assignment := coord.Assignment()
 	union := map[string]string{}
-	for _, vp := range a1.Shard() {
+	for _, vp := range a1.Status().VPs {
 		union[vp] = "c1"
 	}
-	for _, vp := range a2.Shard() {
+	for _, vp := range a2.Status().VPs {
 		if _, dup := union[vp]; dup {
 			t.Fatalf("VP %s assigned to both collectors", vp)
 		}
@@ -113,7 +114,7 @@ func TestFabricAssignAndDistribute(t *testing.T) {
 
 	// Filter distribution: both agents install the same generation with
 	// byte-identical digests.
-	coord.DistributeFilters(testFilters(t))
+	coord.DistributeFiltersTraced(telemetry.SpanContext{}, testFilters(t))
 	wantGen, wantSum := coord.FilterGen()
 	if wantGen != 1 || wantSum == 0 {
 		t.Fatalf("coordinator filter gen/sum = %d/%d", wantGen, wantSum)
@@ -153,11 +154,11 @@ func TestFabricLeaseExpiryRebalancesOntoSurvivor(t *testing.T) {
 	a1, kill := startAgent(t, AgentConfig{ID: "c1", Coordinator: addr})
 	a2, _ := startAgent(t, AgentConfig{ID: "c2", Coordinator: addr})
 	waitFor(t, "both agents assigned", func() bool {
-		return a1.AssignGen() > 0 && a2.AssignGen() > 0 &&
-			len(a1.Shard())+len(a2.Shard()) == len(vps)
+		return a1.Status().AssignGen > 0 && a2.Status().AssignGen > 0 &&
+			len(a1.Status().VPs)+len(a2.Status().VPs) == len(vps)
 	})
-	genBefore := a2.AssignGen()
-	survivorShard := a2.Shard()
+	genBefore := a2.Status().AssignGen
+	survivorShard := a2.Status().VPs
 
 	// Kill c1 abruptly; its lease must lapse and its shard move to c2.
 	kill()
@@ -187,13 +188,13 @@ func TestFabricLeaseExpiryRebalancesOntoSurvivor(t *testing.T) {
 		}
 	}
 	waitFor(t, "survivor owns everything", func() bool {
-		shard := a2.Shard()
-		return a2.AssignGen() > genBefore && len(shard) == len(vps)
+		shard := a2.Status().VPs
+		return a2.Status().AssignGen > genBefore && len(shard) == len(vps)
 	})
 
 	// Rendezvous hashing: the survivor's original VPs did not move.
 	after := map[string]bool{}
-	for _, vp := range a2.Shard() {
+	for _, vp := range a2.Status().VPs {
 		after[vp] = true
 	}
 	for _, vp := range survivorShard {
@@ -212,7 +213,7 @@ func TestFabricHeartbeatsKeepLeaseAlive(t *testing.T) {
 	coord, addr := startCoordinator(t, CoordinatorConfig{LeaseTTL: ttl, Registry: reg})
 	coord.SetVPs([]string{"vpA"})
 	a, _ := startAgent(t, AgentConfig{ID: "c1", Coordinator: addr, HeartbeatEvery: 20 * time.Millisecond})
-	waitFor(t, "agent assigned", func() bool { return a.AssignGen() > 0 })
+	waitFor(t, "agent assigned", func() bool { return a.Status().AssignGen > 0 })
 
 	// Outlive several TTLs; heartbeats must keep the lease renewed.
 	time.Sleep(3 * ttl)
@@ -227,7 +228,7 @@ func TestFabricHeartbeatsKeepLeaseAlive(t *testing.T) {
 func TestFabricReconnectAndFilterRepair(t *testing.T) {
 	coord, addr := startCoordinator(t, CoordinatorConfig{LeaseTTL: time.Second})
 	coord.SetVPs([]string{"vpA", "vpB"})
-	coord.DistributeFilters(testFilters(t)) // gen 1 before any collector exists
+	coord.DistributeFiltersTraced(telemetry.SpanContext{}, testFilters(t)) // gen 1 before any collector exists
 
 	a, _ := startAgent(t, AgentConfig{ID: "c1", Coordinator: addr})
 	wantGen, wantSum := coord.FilterGen()
@@ -236,8 +237,8 @@ func TestFabricReconnectAndFilterRepair(t *testing.T) {
 		g, s := a.FilterGen()
 		return g == wantGen && s == wantSum
 	})
-	if len(a.Shard()) != 2 {
-		t.Fatalf("late joiner shard = %v, want both VPs", a.Shard())
+	if len(a.Status().VPs) != 2 {
+		t.Fatalf("late joiner shard = %v, want both VPs", a.Status().VPs)
 	}
 }
 
@@ -321,7 +322,7 @@ func TestAgentRejectsStaleGenerations(t *testing.T) {
 	waitFor(t, "stale assign rejected", func() bool {
 		return reg.Counter("fabric.agent.stale_assigns_rejected").Load() == 1
 	})
-	if got := a.Shard(); len(got) != 1 || got[0] != "vpA" {
+	if got := a.Status().VPs; len(got) != 1 || got[0] != "vpA" {
 		t.Fatalf("stale assign overwrote shard: %v", got)
 	}
 

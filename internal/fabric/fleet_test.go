@@ -27,6 +27,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/quality"
 	"repro/internal/resilience"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -175,12 +176,12 @@ func runFleet(t *testing.T, wrap func(net.Listener) net.Listener) {
 	waitFleet("fleet assignment", func() bool {
 		total := 0
 		for _, c := range cols {
-			total += len(c.agent.Shard())
+			total += len(c.agent.Status().VPs)
 		}
 		return total == len(vps)
 	})
 
-	coord.DistributeFilters(fleetFilters())
+	coord.DistributeFiltersTraced(telemetry.SpanContext{}, fleetFilters())
 	wantGen, wantSum := coord.FilterGen()
 	waitFleet("fleet-wide filter install", func() bool {
 		for _, c := range cols {
@@ -206,7 +207,7 @@ func runFleet(t *testing.T, wrap func(net.Listener) net.Listener) {
 			}, perVP)
 			i := 0
 			for i < perVP && tctx.Err() == nil {
-				owner := coord.OwnerOf(vp)
+				owner := coord.Assignment()[vp]
 				addr := bgpAddr(owner)
 				if addr == "" {
 					time.Sleep(10 * time.Millisecond)
@@ -228,7 +229,7 @@ func runFleet(t *testing.T, wrap func(net.Listener) net.Listener) {
 						break // owner died mid-stream; re-resolve and redial
 					}
 					i++
-					if coord.OwnerOf(vp) != owner {
+					if coord.Assignment()[vp] != owner {
 						break // shard moved; follow the assignment map
 					}
 				}
@@ -248,14 +249,14 @@ func runFleet(t *testing.T, wrap func(net.Listener) net.Listener) {
 		return true
 	})
 	victimID := "c1"
-	victimShard := cols[victimID].agent.Shard()
+	victimShard := cols[victimID].agent.Status().VPs
 	if len(victimShard) == 0 {
 		// Rendezvous hashing gave c1 nothing (possible but unlikely with 6
 		// VPs); pick a collector that owns VPs so the failover is real.
 		for id, c := range cols {
-			if len(c.agent.Shard()) > 0 {
+			if len(c.agent.Status().VPs) > 0 {
 				victimID = id
-				victimShard = c.agent.Shard()
+				victimShard = c.agent.Status().VPs
 				break
 			}
 		}
@@ -267,12 +268,12 @@ func runFleet(t *testing.T, wrap func(net.Listener) net.Listener) {
 	// The entire dead shard must land on survivors within 2 lease periods.
 	waitFleet("shard reassignment", func() bool {
 		for _, vp := range victimShard {
-			owner := coord.OwnerOf(vp)
+			owner := coord.Assignment()[vp]
 			if owner == "" || owner == victimID {
 				return false
 			}
 			found := false
-			for _, svp := range cols[owner].agent.Shard() {
+			for _, svp := range cols[owner].agent.Status().VPs {
 				if svp == vp {
 					found = true
 					break

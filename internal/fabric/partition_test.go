@@ -40,7 +40,7 @@ func TestPartitionOutlastingLeaseMovesShardThenHeals(t *testing.T) {
 	defer cancel2()
 
 	waitFor(t, "both shards populated", func() bool {
-		return len(a1.Shard())+len(a2.Shard()) == 6 && len(a2.Shard()) > 0
+		return len(a1.Status().VPs)+len(a2.Status().VPs) == 6 && len(a2.Status().VPs) > 0
 	})
 	before := coord.Assignment()
 
@@ -72,11 +72,11 @@ func TestPartitionOutlastingLeaseMovesShardThenHeals(t *testing.T) {
 }
 
 func sortedShard(a *Agent) []string {
-	s := a.Shard()
+	s := a.Status().VPs
 	if len(s) == 0 {
 		return nil
 	}
-	return s // Shard() already returns a sorted copy
+	return s // Status().VPs is already a sorted copy
 }
 
 func shardOf(assignment map[string]string, id string) []string {

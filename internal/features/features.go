@@ -145,21 +145,3 @@ func (g *Graph) PairFeatures(a, b uint32) [NumPairFeatures]float64 {
 	out[FeatPrefAttachment-FeatJaccard] = float64(len(na) * len(nb))
 	return out
 }
-
-// EventVector is the 15-dimensional feature difference T(v, e) of §18.2:
-// node features of both event ASes at event start minus event end,
-// concatenated with the pair features' difference.
-func EventVector(start, end *Graph, as1, as2 uint32) [VectorDim]float64 {
-	var out [VectorDim]float64
-	n1s, n1e := start.NodeFeatures(as1), end.NodeFeatures(as1)
-	n2s, n2e := start.NodeFeatures(as2), end.NodeFeatures(as2)
-	for f := 0; f < NumNodeFeatures; f++ {
-		out[2*f] = n1s[f] - n1e[f]
-		out[2*f+1] = n2s[f] - n2e[f]
-	}
-	ps, pe := start.PairFeatures(as1, as2), end.PairFeatures(as1, as2)
-	for f := 0; f < NumPairFeatures; f++ {
-		out[2*NumNodeFeatures+f] = ps[f] - pe[f]
-	}
-	return out
-}

@@ -141,9 +141,6 @@ func FromRIB(rib map[netip.Prefix][]uint32) *Graph {
 	return g
 }
 
-// Nodes returns the number of nodes.
-func (g *Graph) Nodes() int { return len(g.ids) }
-
 // Has reports whether the AS appears in the graph.
 func (g *Graph) Has(as uint32) bool {
 	_, ok := g.idx[as]

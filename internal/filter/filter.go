@@ -82,9 +82,6 @@ func (s *Set) Anchors() []string {
 	return out
 }
 
-// IsAnchor reports whether vp has an accept-all rule.
-func (s *Set) IsAnchor(vp string) bool { return s.anchors[vp] }
-
 // ruleKey renders the drop-rule key for an update at granularity g.
 func ruleKey(g Granularity, u *update.Update) string {
 	var b strings.Builder

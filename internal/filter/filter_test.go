@@ -3,6 +3,7 @@ package filter
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -180,7 +181,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 			if got.Granularity != s.Granularity || got.NumDrops() != s.NumDrops() {
 				t.Errorf("round trip mismatch: %d drops vs %d", got.NumDrops(), s.NumDrops())
 			}
-			if !got.IsAnchor("VP2") {
+			if !slices.Contains(got.Anchors(), "VP2") {
 				t.Error("anchor lost in round trip")
 			}
 			// Behavioral equivalence.

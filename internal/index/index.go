@@ -156,9 +156,6 @@ func Open(dir string) (*Index, error) {
 	return ix, nil
 }
 
-// Dir returns the journal directory the index covers.
-func (ix *Index) Dir() string { return ix.dir }
-
 // put installs m, replacing any entry of the same name.
 func (ix *Index) put(m *SegmentMeta) {
 	if old := ix.segs[m.Name]; old != nil {

@@ -51,45 +51,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// MinMax rescales xs into [0, 1] in place (all-equal input maps to zeros)
-// and returns it.
-func MinMax(xs []float64) []float64 {
-	if len(xs) == 0 {
-		return xs
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	for i := range xs {
-		if hi > lo {
-			xs[i] = (xs[i] - lo) / (hi - lo)
-		} else {
-			xs[i] = 0
-		}
-	}
-	return xs
-}
-
 // Confusion tallies binary-classification outcomes.
 type Confusion struct {
 	TP, FP, TN, FN int
@@ -109,14 +70,6 @@ func (c Confusion) FPR() float64 {
 		return 0
 	}
 	return float64(c.FP) / float64(c.FP+c.TN)
-}
-
-// Precision is TP/(TP+FP).
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
 }
 
 // Table renders aligned text tables for the paper-table reproductions.

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -61,47 +60,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	if got := Stddev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("Stddev const = %v", got)
-	}
-	if got := Stddev([]float64{1, 3}); got != 1 {
-		t.Errorf("Stddev = %v, want 1", got)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := MinMax([]float64{5, 10, 15})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if xs[i] != want[i] {
-			t.Errorf("MinMax[%d] = %v, want %v", i, xs[i], want[i])
-		}
-	}
-	flat := MinMax([]float64{7, 7})
-	if flat[0] != 0 || flat[1] != 0 {
-		t.Errorf("flat MinMax = %v", flat)
-	}
-	// Output always in [0,1].
-	f := func(raw []float64) bool {
-		for _, x := range raw {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return true
-			}
-		}
-		out := MinMax(append([]float64(nil), raw...))
-		for _, x := range out {
-			if x < 0 || x > 1 {
-				return false
-			}
-		}
-		return sort.Float64sAreSorted(nil) || true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestConfusion(t *testing.T) {
 	c := Confusion{TP: 8, FN: 2, FP: 1, TN: 9}
 	if c.TPR() != 0.8 {
@@ -110,11 +68,8 @@ func TestConfusion(t *testing.T) {
 	if c.FPR() != 0.1 {
 		t.Errorf("FPR = %v", c.FPR())
 	}
-	if got := c.Precision(); math.Abs(got-8.0/9.0) > 1e-12 {
-		t.Errorf("Precision = %v", got)
-	}
 	var zero Confusion
-	if zero.TPR() != 0 || zero.FPR() != 0 || zero.Precision() != 0 {
+	if zero.TPR() != 0 || zero.FPR() != 0 {
 		t.Error("zero confusion rates must be 0")
 	}
 }

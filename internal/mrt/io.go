@@ -1,7 +1,6 @@
 package mrt
 
 import (
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -146,35 +145,4 @@ func (r *Reader) ReadRecord() (*Record, error) {
 		return nil, err
 	}
 	return rec, nil
-}
-
-// ArchiveWriter writes gzip-compressed MRT archives, the GILL equivalent of
-// the paper's bzip2-compressed dumps (stdlib bzip2 is decompress-only; see
-// DESIGN.md).
-type ArchiveWriter struct {
-	*Writer
-	gz  *gzip.Writer
-	dst io.Closer
-}
-
-// NewArchiveWriter layers gzip compression over w. If w is an io.Closer it
-// is closed by Close.
-func NewArchiveWriter(w io.Writer) *ArchiveWriter {
-	gz := gzip.NewWriter(w)
-	aw := &ArchiveWriter{Writer: NewWriter(gz), gz: gz}
-	if c, ok := w.(io.Closer); ok {
-		aw.dst = c
-	}
-	return aw
-}
-
-// Close flushes the compressor and closes the destination if it is a Closer.
-func (a *ArchiveWriter) Close() error {
-	if err := a.gz.Close(); err != nil {
-		return err
-	}
-	if a.dst != nil {
-		return a.dst.Close()
-	}
-	return nil
 }

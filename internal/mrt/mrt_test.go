@@ -168,13 +168,14 @@ func TestRIBIPv6RoundTrip(t *testing.T) {
 
 func TestArchiveRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	aw := NewArchiveWriter(&buf)
+	zw := gzip.NewWriter(&buf)
+	aw := NewWriter(zw)
 	for i := 0; i < 10; i++ {
 		if err := aw.WriteRecord(sampleBGP4MP()); err != nil {
 			t.Fatalf("WriteRecord: %v", err)
 		}
 	}
-	if err := aw.Close(); err != nil {
+	if err := zw.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	gz, err := gzip.NewReader(&buf)
@@ -243,9 +244,9 @@ func TestMarshalAttributesRoundTrip(t *testing.T) {
 		HasLocal:    true,
 		Communities: []bgp.Community{7, 8},
 	}
-	b, err := u.MarshalAttributes()
+	b, err := u.AppendAttributes(nil)
 	if err != nil {
-		t.Fatalf("MarshalAttributes: %v", err)
+		t.Fatalf("AppendAttributes: %v", err)
 	}
 	var got bgp.Update
 	if err := got.UnmarshalAttributes(b); err != nil {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/resilience"
 	"repro/internal/telemetry"
-	"repro/internal/update"
 )
 
 // Refresh periods (§7).
@@ -27,10 +26,10 @@ const (
 	Component1Period = 16 * 24 * time.Hour
 	// Component2Period is how often anchor-VP selection reruns.
 	Component2Period = 365 * 24 * time.Hour
-	// RefreshJitter is the ± fraction applied to each refresh period so
-	// orchestrators restarted from the same snapshot (or many deployments
-	// sharing the §7 constants) don't rerun the sampling components — and
-	// redistribute filters — in lockstep.
+	// RefreshJitter is the ± fraction applied to each refresh period. The
+	// offset is a pure function of (component, generation), so successive
+	// refreshes do not land on a fixed grid, yet replaying one refresh
+	// history reproduces its schedule exactly.
 	RefreshJitter = 0.05
 )
 
@@ -88,11 +87,10 @@ type Orchestrator struct {
 	lastComponent1 time.Time
 	lastComponent2 time.Time
 	gen1, gen2     uint64 // completed refreshes, indexes the jitter stream
-	jitterSeed     int64
 
 	// began counts refreshes begun per component (the generation-token
-	// stream); inflight counts those begun but not yet committed or
-	// aborted. Indexed by component (1, 2).
+	// stream); inflight counts those begun but not yet committed.
+	// Indexed by component (1, 2).
 	began    [3]uint64
 	inflight [3]int
 
@@ -208,17 +206,6 @@ func (o *Orchestrator) Pending() int {
 	return len(o.pending)
 }
 
-// RemovePeer tears a session down.
-func (o *Orchestrator) RemovePeer(asn uint32) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if _, ok := o.peers[asn]; !ok {
-		return ErrNoSuchPeer
-	}
-	delete(o.peers, asn)
-	return nil
-}
-
 // Subscribe registers a filter-loading hook called with every refreshed
 // filter set. If a refresh has already produced filters, the hook is also
 // invoked immediately with the current set; before the first refresh it is
@@ -297,15 +284,6 @@ func (o *Orchestrator) BeginRefresh(component int) RefreshToken {
 	return RefreshToken{Component: component, gen: o.began[component]}
 }
 
-// AbortRefresh releases a token whose recompute failed, re-arming Due.
-func (o *Orchestrator) AbortRefresh(tok RefreshToken) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.inflight[tok.Component] > 0 {
-		o.inflight[tok.Component]--
-	}
-}
-
 // CommitFilters installs a refresh result if its token is still the newest
 // begun for the component; a stale result — another refresh began after
 // this one — is rejected with ErrStaleRefresh, so the install order can
@@ -380,20 +358,11 @@ func (o *Orchestrator) Filters() *filter.Set {
 	return o.filters
 }
 
-// SetJitterSeed fixes the refresh-jitter stream. Deployments seed this
-// with a per-collector value so their schedules decorrelate; tests fix it
-// for reproducible periods. The stream is deterministic either way.
-func (o *Orchestrator) SetJitterSeed(seed int64) {
-	o.mu.Lock()
-	o.jitterSeed = seed
-	o.mu.Unlock()
-}
-
 // jitteredPeriod spreads period by ±RefreshJitter, deterministically from
-// (jitterSeed, component, generation): each refresh draws a fresh offset,
-// and replaying the same history reproduces the same schedule.
-func (o *Orchestrator) jitteredPeriod(period time.Duration, component int, gen uint64) time.Duration {
-	f := resilience.JitterFraction(o.jitterSeed, uint64(component)<<32|gen)
+// (component, generation): each refresh draws a fresh offset, and
+// replaying the same history reproduces the same schedule.
+func jitteredPeriod(period time.Duration, component int, gen uint64) time.Duration {
+	f := resilience.JitterFraction(0, uint64(component)<<32|gen)
 	return time.Duration(float64(period) * (1 + RefreshJitter*f))
 }
 
@@ -402,14 +371,14 @@ func (o *Orchestrator) jitteredPeriod(period time.Duration, component int, gen u
 func (o *Orchestrator) RefreshPeriods() (component1, component2 time.Duration) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.jitteredPeriod(Component1Period, 1, o.gen1),
-		o.jitteredPeriod(Component2Period, 2, o.gen2)
+	return jitteredPeriod(Component1Period, 1, o.gen1),
+		jitteredPeriod(Component2Period, 2, o.gen2)
 }
 
 // Due reports which components need refreshing (§7 periods, each spread
 // by ±RefreshJitter). A component that never ran is always due; a
 // component with a refresh in flight (begun via BeginRefresh, not yet
-// committed or aborted) is never due, so schedule pollers cannot launch
+// committed) is never due, so schedule pollers cannot launch
 // overlapping recomputes.
 func (o *Orchestrator) Due() (component1, component2 bool) {
 	o.mu.Lock()
@@ -417,61 +386,9 @@ func (o *Orchestrator) Due() (component1, component2 bool) {
 	now := o.clock()
 	component1 = o.inflight[1] == 0 &&
 		(o.lastComponent1.IsZero() ||
-			now.Sub(o.lastComponent1) >= o.jitteredPeriod(Component1Period, 1, o.gen1))
+			now.Sub(o.lastComponent1) >= jitteredPeriod(Component1Period, 1, o.gen1))
 	component2 = o.inflight[2] == 0 &&
 		(o.lastComponent2.IsZero() ||
-			now.Sub(o.lastComponent2) >= o.jitteredPeriod(Component2Period, 2, o.gen2))
+			now.Sub(o.lastComponent2) >= jitteredPeriod(Component2Period, 2, o.gen2))
 	return
-}
-
-// Mirror is the §8 temporary mirroring scheme: the orchestrator briefly
-// retains *all* updates (pre-filtering) inside a bounded time window so
-// the sampling algorithms can train on complete data, then discards them.
-type Mirror struct {
-	mu     sync.Mutex
-	window time.Duration
-	buf    []*update.Update
-}
-
-// NewMirror retains updates for the given window.
-func NewMirror(window time.Duration) *Mirror {
-	return &Mirror{window: window}
-}
-
-// Offer appends an update and evicts everything older than the window
-// relative to the newest timestamp.
-func (m *Mirror) Offer(u *update.Update) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.buf = append(m.buf, u)
-	cutoff := u.Time.Add(-m.window)
-	// The buffer is near-sorted; find the first survivor.
-	i := 0
-	for i < len(m.buf) && m.buf[i].Time.Before(cutoff) {
-		i++
-	}
-	if i > 0 {
-		m.buf = append([]*update.Update(nil), m.buf[i:]...)
-	}
-}
-
-// Snapshot returns the retained updates.
-func (m *Mirror) Snapshot() []*update.Update {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]*update.Update(nil), m.buf...)
-}
-
-// Len returns the retained count.
-func (m *Mirror) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.buf)
-}
-
-// Drop empties the mirror (after a sampling run consumed it).
-func (m *Mirror) Drop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.buf = nil
 }

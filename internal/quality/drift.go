@@ -14,7 +14,6 @@ package quality
 
 import (
 	"net/netip"
-	"sort"
 
 	"repro/internal/correlation"
 	"repro/internal/update"
@@ -132,18 +131,4 @@ func selfBaseline(obs []shadowObs) correlation.Baseline {
 		us[i] = o.u
 	}
 	return correlation.NewBaseline(us)
-}
-
-// TopBuckets returns the indices of the k highest-novelty buckets, for
-// log events on threshold crossings.
-func (r DriftReport) TopBuckets(k int) []int {
-	idx := make([]int, len(r.PerBucket))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return r.PerBucket[idx[a]] > r.PerBucket[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }

@@ -104,14 +104,6 @@ func (s Selector) SelectUpdate(u *update.Update) bool {
 	return s.Selected(u.VP, u.Prefix)
 }
 
-// Fraction returns the expected sampled fraction (0 when disabled).
-func (s Selector) Fraction() float64 {
-	if s.Denom == 0 {
-		return 0
-	}
-	return 1 / float64(s.Denom)
-}
-
 // String renders the fraction the way the -shadow-fraction flag accepts
 // it: "1/64", "all", or "off".
 func (s Selector) String() string {

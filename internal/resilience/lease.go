@@ -13,22 +13,14 @@ import (
 // clock (real or test) they already have, and expiry is a question you
 // ask ("Expired(now)?") rather than an event you race against.
 type Lease struct {
-	mu      sync.Mutex
-	ttl     time.Duration
-	expiry  time.Time
-	renewed uint64
+	mu     sync.Mutex
+	ttl    time.Duration
+	expiry time.Time
 }
 
 // NewLease grants a lease valid for ttl past now.
 func NewLease(ttl time.Duration, now time.Time) *Lease {
 	return &Lease{ttl: ttl, expiry: now.Add(ttl)}
-}
-
-// TTL returns the lease duration applied on each renewal.
-func (l *Lease) TTL() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ttl
 }
 
 // Renew extends the lease to now+TTL. Renewing an expired lease
@@ -38,7 +30,6 @@ func (l *Lease) TTL() time.Duration {
 func (l *Lease) Renew(now time.Time) {
 	l.mu.Lock()
 	l.expiry = now.Add(l.ttl)
-	l.renewed++
 	l.mu.Unlock()
 }
 
@@ -54,19 +45,4 @@ func (l *Lease) Remaining(now time.Time) time.Duration {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.expiry.Sub(now)
-}
-
-// Expiry returns the current expiry instant.
-func (l *Lease) Expiry() time.Time {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.expiry
-}
-
-// Renewals returns how many times the lease was renewed (not counting
-// the initial grant) — the granter's heartbeat count for one holder.
-func (l *Lease) Renewals() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.renewed
 }

@@ -30,14 +30,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	if !l.Expired(t0.Add(18 * time.Second)) {
 		t.Fatal("renewed lease outlived its new TTL")
 	}
-	if got := l.Renewals(); got != 1 {
-		t.Fatalf("Renewals = %d, want 1", got)
-	}
-	if got := l.TTL(); got != 10*time.Second {
-		t.Fatalf("TTL = %v, want 10s", got)
-	}
-	if got := l.Expiry(); !got.Equal(t0.Add(18 * time.Second)) {
-		t.Fatalf("Expiry = %v, want %v", got, t0.Add(18*time.Second))
+	if got := l.Remaining(t0.Add(8 * time.Second)); got != 10*time.Second {
+		t.Fatalf("Remaining after renewal = %v, want the full 10s TTL", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package sampling
 import (
 	"math/rand"
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 
@@ -34,7 +35,8 @@ func stream(nVPs, perVP int) []*update.Update {
 			})
 		}
 	}
-	return SortStream(us)
+	sort.SliceStable(us, func(i, j int) bool { return us[i].Time.Before(us[j].Time) })
+	return us
 }
 
 func TestTrimKeepsEarliest(t *testing.T) {

@@ -1,8 +1,6 @@
 package sampling
 
 import (
-	"sort"
-
 	"repro/internal/update"
 )
 
@@ -146,10 +144,4 @@ func AnchorsOnly(anchors []string) Filtered {
 		set[vp] = true
 	}
 	return Filtered{Label: "gill-vp", Keep: func(u *update.Update) bool { return set[u.VP] }}
-}
-
-// SortStream orders updates chronologically in place and returns it.
-func SortStream(us []*update.Update) []*update.Update {
-	sort.SliceStable(us, func(i, j int) bool { return us[i].Time.Before(us[j].Time) })
-	return us
 }

@@ -3,6 +3,7 @@ package simulate
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -149,7 +150,7 @@ func NewCollector(s *Sim, vps []uint32, cfg CollectorConfig) *Collector {
 		c.prefixesByOrigin[as] = append(c.prefixesByOrigin[as], p)
 	}
 	for _, ps := range c.prefixesByOrigin {
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Addr().Less(ps[j].Addr()) })
+		slices.SortFunc(ps, update.ComparePrefix)
 	}
 	for _, dest := range c.origins() {
 		c.refreshDest(dest)
@@ -258,7 +259,7 @@ func (c *Collector) RIBUpdates(vpAS uint32, t time.Time) []*update.Update {
 			Comms:  c.commsFor(vpAS, path, p, time.Time{}),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix.Addr().Less(out[j].Prefix.Addr()) })
+	slices.SortFunc(out, func(a, b *update.Update) int { return update.ComparePrefix(a.Prefix, b.Prefix) })
 	return out
 }
 
@@ -482,7 +483,7 @@ func (c *Collector) prefixesCrossing(as uint32, filter netip.Prefix) []netip.Pre
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr().Less(out[j].Addr()) })
+	slices.SortFunc(out, update.ComparePrefix)
 	return out
 }
 

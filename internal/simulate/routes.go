@@ -220,12 +220,6 @@ func betterHop(s *Sim, incumbent, candidate int32, incOrg, candOrg int8) bool {
 	return candOrg < incOrg
 }
 
-// Reachable reports whether as has any route.
-func (r *Routes) Reachable(as uint32) bool {
-	i, ok := r.sim.idx[as]
-	return ok && r.Class[i] != ClassNone
-}
-
 // OriginOf returns the origin spec chosen by as, or nil if unreachable.
 func (r *Routes) OriginOf(as uint32) *Origin {
 	i, ok := r.sim.idx[as]
@@ -277,24 +271,4 @@ func (r *Routes) TreeEdges() map[[2]uint32]bool {
 		out[[2]uint32{a, b}] = true
 	}
 	return out
-}
-
-// UsesLink reports whether the routing tree crosses the undirected link a-b.
-func (r *Routes) UsesLink(a, b uint32) bool {
-	if a > b {
-		a, b = b, a
-	}
-	for i := range r.Next {
-		if r.Next[i] < 0 {
-			continue
-		}
-		x, y := r.sim.ases[i], r.sim.ases[r.Next[i]]
-		if x > y {
-			x, y = y, x
-		}
-		if x == a && y == b {
-			return true
-		}
-	}
-	return false
 }

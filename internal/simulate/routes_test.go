@@ -103,11 +103,11 @@ func TestRoutesDisconnection(t *testing.T) {
 	s.FailLink(5, 6)
 	r := s.ComputeRoutes([]Origin{{AS: 6}})
 	for _, as := range []uint32{1, 2, 3, 4, 5} {
-		if r.Reachable(as) {
+		if r.Path(as) != nil {
 			t.Errorf("AS%d still reaches 6 after isolation: %v", as, r.Path(as))
 		}
 	}
-	if !r.Reachable(6) {
+	if r.Path(6) == nil {
 		t.Error("origin must remain reachable to itself")
 	}
 }
@@ -218,15 +218,12 @@ func TestRoutePreferenceOrder(t *testing.T) {
 func TestTreeEdgesAndUsesLink(t *testing.T) {
 	s := New(testTopo(), 1)
 	r := s.ComputeRoutes([]Origin{{AS: 6}})
-	if !r.UsesLink(2, 6) || !r.UsesLink(6, 2) {
-		t.Error("tree should use link 2-6 in both orientations")
-	}
-	if r.UsesLink(4, 5) {
-		t.Error("p2p link 4-5 is not on any best path to 6")
-	}
 	edges := r.TreeEdges()
 	if !edges[[2]uint32{2, 6}] {
 		t.Errorf("TreeEdges missing 2-6: %v", edges)
+	}
+	if edges[[2]uint32{4, 5}] {
+		t.Error("p2p link 4-5 is not on any best path to 6")
 	}
 }
 

@@ -219,18 +219,6 @@ func (s *Sim) RoutesFor(p netip.Prefix) *Routes {
 	return r
 }
 
-// RoutesToAS returns (cached) routes for a plain single-origin destination.
-func (s *Sim) RoutesToAS(as uint32) *Routes {
-	origins := []Origin{{AS: as}}
-	key := s.cacheKey(origins)
-	if r, ok := s.routeCache[key]; ok {
-		return r
-	}
-	r := s.ComputeRoutes(origins)
-	s.routeCache[key] = r
-	return r
-}
-
 // Hijack adds a forged-origin announcement for prefix p: attacker announces
 // the path [attacker, tail...]. For a Type-X hijack, tail has X elements
 // ending with the victim ASN.

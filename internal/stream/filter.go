@@ -217,10 +217,6 @@ func (f *Filter) String() string {
 	return strings.Join(terms, " ")
 }
 
-// NeedsPath reports whether matching requires the rendered AS-path
-// string (lets the hub skip rendering when no subscriber uses a regex).
-func (f *Filter) NeedsPath() bool { return f != nil && f.Path != nil }
-
 // Match reports whether the update passes the filter. pathStr lazily
 // renders the space-joined AS path — the hub shares one rendering across
 // all subscribers of a message.

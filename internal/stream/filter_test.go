@@ -109,9 +109,6 @@ func TestFilterQuotedValues(t *testing.T) {
 	if !f.Match(u, pathStrOf(u)) {
 		t.Fatalf("quoted path regex with space did not match")
 	}
-	if !f.NeedsPath() {
-		t.Fatalf("NeedsPath: want true")
-	}
 }
 
 func TestFilterFromValues(t *testing.T) {

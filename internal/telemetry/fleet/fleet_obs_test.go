@@ -168,7 +168,7 @@ func TestFleetObservability(t *testing.T) {
 	waitObs(t, "fleet assignment", func() bool {
 		total := 0
 		for _, c := range cols {
-			total += len(c.agent.Shard())
+			total += len(c.agent.Status().VPs)
 		}
 		return total == len(vps)
 	})

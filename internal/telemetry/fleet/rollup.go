@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/telemetry"
 )
 
 // Rollup is the fleet-wide aggregate view: counters and gauges summed
@@ -117,7 +117,7 @@ func (r Rollup) WriteProm(w io.Writer) error {
 		}
 	}
 	for _, name := range sortedKeys(r.Histograms) {
-		if err := writeHistogram(w, name, r.Histograms[name]); err != nil {
+		if err := telemetry.WritePromHistogram(w, name, r.Histograms[name]); err != nil {
 			return err
 		}
 	}
@@ -131,28 +131,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// writeHistogram renders one merged histogram in the conventional
-// cumulative-bucket shape (mirrors telemetry's per-process exporter).
-func writeHistogram(w io.Writer, name string, h metrics.HistogramSnapshot) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-		return err
-	}
-	var cum uint64
-	for i, bound := range h.Bounds {
-		cum += h.Counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n",
-			name, strconv.FormatUint(bound, 10), cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %d\n", name, h.Sum); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count)
-	return err
 }

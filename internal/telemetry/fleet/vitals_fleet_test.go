@@ -138,7 +138,7 @@ func TestFleetVitalsIncidentEndToEnd(t *testing.T) {
 		}
 		total := 0
 		for _, m := range members {
-			for _, vp := range m.agent.Shard() {
+			for _, vp := range m.agent.Status().VPs {
 				if want[vp] != m.id {
 					return false
 				}
@@ -151,7 +151,7 @@ func TestFleetVitalsIncidentEndToEnd(t *testing.T) {
 	// traffic is always fed at the owning collector, like real peerings.
 	owner := map[string]*vitalsMember{}
 	for _, m := range members {
-		for _, vp := range m.agent.Shard() {
+		for _, vp := range m.agent.Status().VPs {
 			owner[vp] = m
 		}
 	}

@@ -13,7 +13,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -261,22 +260,4 @@ func writeValue(b *strings.Builder, s string) {
 		return
 	}
 	b.WriteString(s)
-}
-
-// SuppressedKeys reports, for tests and /statusz debugging, the keys with
-// pending suppressed counts, sorted.
-func (l *Logger) SuppressedKeys() []string {
-	if l == nil || l.c == nil {
-		return nil
-	}
-	l.c.mu.Lock()
-	defer l.c.mu.Unlock()
-	var out []string
-	for k, st := range l.c.seen {
-		if st.suppressed > 0 {
-			out = append(out, strings.ReplaceAll(k, "\x00", "/"))
-		}
-	}
-	sort.Strings(out)
-	return out
 }

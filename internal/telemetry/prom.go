@@ -98,7 +98,7 @@ func WriteProm(w io.Writer, s metrics.Snapshot) error {
 		case promGauge:
 			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", sr.name, sr.name, s.Gauges[sr.key])
 		default:
-			err = writePromHistogram(w, sr.name, s.Histograms[sr.key])
+			err = WritePromHistogram(w, sr.name, s.Histograms[sr.key])
 		}
 		if err != nil {
 			return err
@@ -180,7 +180,10 @@ func escapeLabelValue(v string) string {
 	return string(out)
 }
 
-func writePromHistogram(w io.Writer, name string, h metrics.HistogramSnapshot) error {
+// WritePromHistogram renders one histogram in the Prometheus text format:
+// a TYPE line, cumulative buckets ending in +Inf, then _sum and _count.
+// The fleet rollup renders its merged histograms with it too.
+func WritePromHistogram(w io.Writer, name string, h metrics.HistogramSnapshot) error {
 	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
 		return err
 	}

@@ -276,82 +276,3 @@ func bfsLevels(adj []map[int]bool, roots []int) []int {
 	}
 	return level
 }
-
-// Prune iteratively removes leaf ASes (degree ≤ 1) until at most n ASes
-// remain, mirroring the paper's pruning of the CAIDA topology (§3.1).
-// Prefixes of removed ASes are dropped. It returns a new topology.
-func Prune(t *Topology, n int) *Topology {
-	type void struct{}
-	alive := make(map[uint32]void)
-	deg := make(map[uint32]int)
-	adj := make(map[uint32]map[uint32]void)
-	for _, as := range t.ASes() {
-		alive[as] = void{}
-		adj[as] = make(map[uint32]void)
-	}
-	for _, l := range t.Links {
-		adj[l.A][l.B] = void{}
-		adj[l.B][l.A] = void{}
-	}
-	for as, nb := range adj {
-		deg[as] = len(nb)
-	}
-	for len(alive) > n {
-		// Collect current leaves; remove them lowest-degree-first.
-		var leaves []uint32
-		for as := range alive {
-			if deg[as] <= 1 {
-				leaves = append(leaves, as)
-			}
-		}
-		if len(leaves) == 0 {
-			// No leaves left: remove the minimum-degree ASes instead so
-			// pruning always terminates.
-			minDeg := 1 << 30
-			for as := range alive {
-				if deg[as] < minDeg {
-					minDeg = deg[as]
-				}
-			}
-			for as := range alive {
-				if deg[as] == minDeg {
-					leaves = append(leaves, as)
-				}
-			}
-		}
-		sort.Slice(leaves, func(i, j int) bool { return leaves[i] < leaves[j] })
-		for _, as := range leaves {
-			if len(alive) <= n {
-				break
-			}
-			delete(alive, as)
-			for nb := range adj[as] {
-				delete(adj[nb], as)
-				deg[nb]--
-			}
-			delete(adj, as)
-			delete(deg, as)
-		}
-	}
-	out := New()
-	for _, l := range t.Links {
-		if _, okA := alive[l.A]; !okA {
-			continue
-		}
-		if _, okB := alive[l.B]; !okB {
-			continue
-		}
-		out.AddLink(l)
-	}
-	for _, as := range t.Tier1s {
-		if _, ok := alive[as]; ok {
-			out.Tier1s = append(out.Tier1s, as)
-		}
-	}
-	for as, ps := range t.Prefixes {
-		if _, ok := alive[as]; ok {
-			out.Prefixes[as] = append(out.Prefixes[as], ps...)
-		}
-	}
-	return out
-}

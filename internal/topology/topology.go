@@ -7,14 +7,10 @@
 package topology
 
 import (
-	"bufio"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/netip"
 	"sort"
-	"strings"
 )
 
 // Relationship between two adjacent ASes.
@@ -212,64 +208,4 @@ func pareto(r *rand.Rand, alpha, xm float64) float64 {
 		u = 1e-12
 	}
 	return xm*(1/math.Pow(u, 1/alpha)) - xm
-}
-
-// Write serializes the topology in the CAIDA AS-relationship text format
-// ("a|b|-1" customer-provider with a the *provider* per CAIDA convention is
-// ambiguous across datasets; we emit "customer|provider|-1" and
-// "peer|peer|0" and parse the same convention back).
-func (t *Topology) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, l := range t.Links {
-		if _, err := fmt.Fprintf(bw, "%d|%d|%d\n", l.A, l.B, l.Rel); err != nil {
-			return err
-		}
-	}
-	for as, ps := range t.Prefixes {
-		for _, p := range ps {
-			if _, err := fmt.Fprintf(bw, "# prefix %d %s\n", as, p); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Read parses the serialization produced by Write.
-func Read(r io.Reader) (*Topology, error) {
-	t := New()
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# prefix ") {
-			var as uint32
-			var ps string
-			if _, err := fmt.Sscanf(line, "# prefix %d %s", &as, &ps); err != nil {
-				return nil, fmt.Errorf("topology: bad prefix line %q: %w", line, err)
-			}
-			p, err := netip.ParsePrefix(ps)
-			if err != nil {
-				return nil, fmt.Errorf("topology: bad prefix %q: %w", ps, err)
-			}
-			t.Prefixes[as] = append(t.Prefixes[as], p)
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, "|")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("topology: bad link line %q", line)
-		}
-		var a, b uint32
-		var rel int
-		if _, err := fmt.Sscanf(line, "%d|%d|%d", &a, &b, &rel); err != nil {
-			return nil, fmt.Errorf("topology: bad link line %q: %w", line, err)
-		}
-		t.AddLink(Link{A: a, B: b, Rel: Relationship(rel)})
-	}
-	return t, sc.Err()
 }

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -175,29 +174,6 @@ func TestPowerLawDegreeTail(t *testing.T) {
 	}
 }
 
-func TestPrune(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	topo := Generate(DefaultGenConfig(500), r)
-	pruned := Prune(topo, 100)
-	n := len(pruned.ASes())
-	if n > 100 {
-		t.Errorf("pruned to %d ASes, want ≤ 100", n)
-	}
-	if n < 10 {
-		t.Errorf("pruned too aggressively: %d", n)
-	}
-	// Every surviving link's endpoints must both survive.
-	alive := make(map[uint32]bool)
-	for _, as := range pruned.ASes() {
-		alive[as] = true
-	}
-	for _, l := range pruned.Links {
-		if !alive[l.A] || !alive[l.B] {
-			t.Fatalf("dangling link %v", l)
-		}
-	}
-}
-
 func TestAssignPrefixes(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	topo := Generate(DefaultGenConfig(300), r)
@@ -228,25 +204,6 @@ func TestPrefixFromIndexUnique(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	topo := Generate(DefaultGenConfig(150), r)
-	var buf bytes.Buffer
-	if err := topo.Write(&buf); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if len(got.Links) != len(topo.Links) {
-		t.Errorf("links %d, want %d", len(got.Links), len(topo.Links))
-	}
-	if len(got.AllPrefixes()) != len(topo.AllPrefixes()) {
-		t.Errorf("prefixes %d, want %d", len(got.AllPrefixes()), len(topo.AllPrefixes()))
 	}
 }
 

@@ -3,7 +3,6 @@ package update
 import (
 	"net/netip"
 	"sort"
-	"time"
 )
 
 // Definition selects one of the paper's three gradually stricter
@@ -221,17 +220,6 @@ func RedundantVPs(def Definition, us []*Update) map[string]bool {
 				out[v1] = true
 				break
 			}
-		}
-	}
-	return out
-}
-
-// TimeWindow bounds a slice of updates to [start, end).
-func TimeWindow(us []*Update, start, end time.Time) []*Update {
-	var out []*Update
-	for _, u := range us {
-		if !u.Time.Before(start) && u.Time.Before(end) {
-			out = append(out, u)
 		}
 	}
 	return out

@@ -18,6 +18,17 @@ import (
 // accommodating typical BGP convergence time.
 const Slack = 100 * time.Second
 
+// ComparePrefix is the one prefix order: by address, then by length, so
+// 10.0.0.0/8 sorts before 10.0.0.0/16 and every IPv4 prefix before any
+// IPv6 one. Whatever lists prefixes out of a map sorts them with it, so
+// that two prefixes at one address never fall to map iteration order.
+func ComparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return a.Bits() - b.Bits()
+}
+
 // Link is one directed AS-level adjacency extracted from an AS path.
 type Link struct {
 	From, To uint32

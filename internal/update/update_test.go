@@ -239,16 +239,6 @@ func TestRedundantVPs(t *testing.T) {
 	}
 }
 
-func TestTimeWindow(t *testing.T) {
-	a := mk("v", 0, p1, nil)
-	b := mk("v", time.Hour, p1, nil)
-	c := mk("v", 2*time.Hour, p1, nil)
-	got := TimeWindow([]*Update{a, b, c}, t0.Add(30*time.Minute), t0.Add(90*time.Minute))
-	if len(got) != 1 || got[0] != b {
-		t.Errorf("TimeWindow = %v", got)
-	}
-}
-
 func TestCondition2SubsetProperty(t *testing.T) {
 	// Property: if path1's link set is a subset of path2's, cond2 holds
 	// (absent withdrawals).
