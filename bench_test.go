@@ -10,10 +10,8 @@ package gill_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/pipeline"
@@ -304,11 +302,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 					Overflow:  pipeline.Block, // measure capacity, not drops
 				},
 					&pipeline.FilterStage{},
-					&pipeline.ArchiveStage{
-						LocalAS:    65000,
-						Out:        io.Discard,
-						WriteDelay: 50 * time.Microsecond,
-					},
+					&pipeline.ArchiveStage{LocalAS: 65000, Sink: slowDiscardSink},
 				)
 				if err := p.Start(context.Background()); err != nil {
 					b.Fatal(err)
@@ -317,9 +311,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					p.Ingest(us[i%len(us)])
 				}
-				if err := p.Close(); err != nil {
-					b.Fatal(err)
-				}
+				p.Close()
 				elapsed := b.Elapsed().Seconds()
 				if elapsed <= 0 {
 					return

@@ -12,9 +12,10 @@ import (
 
 // segmentFollower runs the work derived from sealed WAL segments — the
 // skip-index entry and the archive gap audit — off the collection path.
-// The journal's OnSeal hook runs on a shard worker, under the archive
-// stage's lock, so all it may do is enqueue; one goroutine then takes the
-// segments in seal order (the gap auditor needs them oldest first).
+// The journal's OnSeal hook runs on a shard worker and holds up every
+// other shard's next seal, so all it may do is enqueue; the journal calls
+// it in seal order, and one goroutine then takes the segments in that
+// order (the gap auditor needs them oldest first).
 // Nothing depends on the follower keeping up: a query never skips a
 // segment the index has not seen, and the queue is a list of paths.
 type segmentFollower struct {

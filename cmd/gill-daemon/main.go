@@ -7,11 +7,11 @@
 //	gill-daemon -listen :1790 -as 65000 -router-id 192.0.2.1 \
 //	    -filters filters.txt -wal ./wal -admin 127.0.0.1:8471
 //
-// The -wal directory is the update database (§9): a crash-safe record
-// journal, recovered and repaired on startup, plus the serving plane's
-// skip-index over its segments. -out additionally writes the retained
-// records as one MRT stream (gzip-compressed for a .gz name) for
-// RouteViews-style tools, and -rib-out dumps the RIB every -rib-every.
+// The -wal directory is the update database (§9) and the only place the
+// daemon archives updates: a crash-safe record journal, recovered and
+// repaired on startup, plus the serving plane's skip-index over its
+// segments. MRT files for RouteViews-style tools are exports of it
+// (gill-query -wal D -mrt FILE). -rib-out dumps the RIB every -rib-every.
 // The -admin flag serves the operator plane
 // (/metrics, /statusz, /healthz, /readyz, /tracez, /debug/pprof/) and,
 // when a WAL is configured, the query API under /api/ and the filtered
@@ -23,16 +23,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/netip"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
-
-	"compress/gzip"
 
 	"repro/internal/archive"
 	"repro/internal/daemon"
@@ -52,7 +48,6 @@ func main() {
 		localAS      = flag.Uint("as", 65000, "collector AS number")
 		routerID     = flag.String("router-id", "192.0.2.1", "collector BGP identifier (IPv4)")
 		filters      = flag.String("filters", "", "filter file produced by the orchestrator (empty: collect everything)")
-		out          = flag.String("out", "", "MRT output file (.gz for compression; empty: discard)")
 		ribEvery     = flag.Duration("rib-every", daemon.RIBDumpInterval, "RIB dump interval")
 		ribOut       = flag.String("rib-out", "", "RIB dump file prefix (empty: no dumps)")
 		stats        = flag.Duration("stats", 30*time.Second, "stats reporting interval")
@@ -61,7 +56,7 @@ func main() {
 		filtTTL      = flag.Duration("filter-ttl", 0, "degrade to retain-everything when filters go stale (0: never)")
 		coordTo      = flag.String("coordinator", "", "fabric coordinator address; joins the fleet, receives VP assignments and filter pushes")
 		fabricID     = flag.String("fabric-id", "", "collector identity within the fabric (required with -coordinator)")
-		advert       = flag.String("advertise", "", "BGP address advertised to the coordinator (default: -listen)")
+		advert       = flag.String("advertise", "", "BGP address advertised to the coordinator (default: the bound -listen address)")
 		admin        = flag.String("admin", "", "admin-plane address (/metrics, /statusz, /healthz, /readyz, /tracez, /qualityz, pprof); bind loopback — unauthenticated")
 		logLevel     = flag.String("log-level", "info", "minimum log level (debug, info, warn, error)")
 		shadow       = flag.String("shadow-fraction", "1/64", "fraction of (VP,prefix) slots mirrored into the data-quality shadow lane (1/N, all, or off)")
@@ -96,22 +91,6 @@ func main() {
 			fatal("parsing filters", "err", err)
 		}
 		logm.Info("filters loaded", "drop_rules", fs.NumDrops(), "anchors", len(fs.Anchors()))
-	}
-
-	var w io.Writer
-	var closer io.Closer
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal("creating output", "err", err)
-		}
-		if strings.HasSuffix(*out, ".gz") {
-			gz := gzip.NewWriter(f)
-			w = gz
-			closer = multiCloser{gz, f}
-		} else {
-			w, closer = f, f
-		}
 	}
 
 	reg := metrics.NewRegistry()
@@ -162,7 +141,6 @@ func main() {
 		LocalAS:   uint32(*localAS),
 		RouterID:  rid,
 		Filters:   fs,
-		Out:       w,
 		Registry:  reg,
 		FilterTTL: *filtTTL,
 		Log:       logg,
@@ -263,7 +241,7 @@ func main() {
 		}
 		bgpAddr := *advert
 		if bgpAddr == "" {
-			bgpAddr = *listen
+			bgpAddr = ln.Addr().String()
 		}
 		adminAddr := ""
 		if adminLn != nil {
@@ -392,13 +370,10 @@ func main() {
 
 	// Shutdown ordering: Serve returns only after every peering session
 	// handler has finished, so Close sees all in-flight updates; Close
-	// drains the pipeline queues and flushes the archive stage (including
-	// the gzip stream) before the journal and the output file are closed.
+	// drains the pipeline queues into the journal before it is closed.
 	err = d.Serve(ctx, ln)
 	logm.Info("shutting down, draining ingest pipeline")
-	if cerr := d.Close(); cerr != nil {
-		logm.Error("pipeline close failed", "err", cerr)
-	}
+	d.Close()
 	if hub != nil {
 		hub.Close()
 	}
@@ -408,11 +383,6 @@ func main() {
 		}
 		// Close sealed the last segment; leave with everything indexed.
 		follower.close()
-	}
-	if closer != nil {
-		if cerr := closer.Close(); cerr != nil {
-			logm.Error("output close failed", "err", cerr)
-		}
 	}
 	s := d.Stats()
 	snap := d.PipelineSnapshot()
@@ -444,15 +414,4 @@ type servingStatus struct {
 type statusPayload struct {
 	daemon.Status
 	Serving *servingStatus `json:"serving,omitempty"`
-}
-
-// multiCloser closes the compressor before the file beneath it.
-type multiCloser struct{ a, b io.Closer }
-
-func (m multiCloser) Close() error {
-	if err := m.a.Close(); err != nil {
-		m.b.Close()
-		return err
-	}
-	return m.b.Close()
 }

@@ -10,6 +10,12 @@
 //	gill-query -wal ./wal -rebuild             # rebuild the index by scanning
 //	gill-query -wal ./wal -from ... -to ... [-vp ...] [-prefix ...] [-count]
 //	gill-query -wal ./wal -rib -at 2023-09-01T06:00:00Z [-vp ...] [-prefix ...]
+//	gill-query -wal ./wal -mrt updates.mrt.gz [-from ...] [-to ...] [-vp ...] [-prefix ...]
+//
+// -mrt exports the matching journal records unchanged as an MRT file
+// (gzip-compressed for a .gz name), in write order, for RouteViews-style
+// tools: the daemon's journal is its only archive, and MRT files are
+// exports of it.
 //
 // HTTP mode asks a running daemon's admin plane the same questions over
 // its /api endpoints (timestamps additionally accept unix seconds and
@@ -27,13 +33,18 @@
 package main
 
 import (
+	"bufio"
+	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/netip"
 	"net/url"
+	"os"
 	"strings"
 	"time"
 
@@ -58,11 +69,15 @@ func main() {
 		count    = flag.Bool("count", false, "print only the number of matching updates")
 		gaps     = flag.Bool("gaps", false, "audit per-VP archive coverage and report gaps")
 		gapMin   = flag.Duration("gap-min", 5*time.Minute, "smallest inter-record spacing reported as a gap (WAL -gaps)")
+		mrtOut   = flag.String("mrt", "", "export the matching journal records to this MRT file (.gz: gzip-compressed; WAL mode)")
 	)
 	flag.Parse()
 
 	if (*walDir == "") == (*httpAddr == "") {
 		log.Fatal("gill-query: exactly one of -wal, -http is required")
+	}
+	if *mrtOut != "" && (*httpAddr != "" || *rib || *gaps) {
+		log.Fatal("gill-query: -mrt exports updates from a -wal directory; it does not combine with -http, -rib or -gaps")
 	}
 	switch {
 	case *walDir != "":
@@ -70,7 +85,7 @@ func main() {
 			gapsWALMode(*walDir, *vp, *gapMin)
 			return
 		}
-		walMode(*walDir, *from, *to, *at, *vp, *prefix, *rib, *stats, *rebuild, *count)
+		walMode(*walDir, *from, *to, *at, *vp, *prefix, *mrtOut, *rib, *stats, *rebuild, *count)
 	default:
 		if *gaps {
 			gapsHTTPMode(*httpAddr, *vp)
@@ -80,8 +95,9 @@ func main() {
 	}
 }
 
-// walMode queries the journal through the skip-index.
-func walMode(dir, from, to, at, vp, prefix string, rib, stats, rebuild, count bool) {
+// walMode queries the journal through the skip-index, or exports the
+// updates it selects to the MRT file mrtOut.
+func walMode(dir, from, to, at, vp, prefix, mrtOut string, rib, stats, rebuild, count bool) {
 	svc, err := index.NewService(dir, nil)
 	if err != nil {
 		log.Fatalf("gill-query: %v", err)
@@ -93,7 +109,7 @@ func walMode(dir, from, to, at, vp, prefix string, rib, stats, rebuild, count bo
 	}
 	if stats || rebuild {
 		printStats(svc.Index.Stats())
-		if !rib && from == "" {
+		if !rib && from == "" && mrtOut == "" {
 			return
 		}
 	}
@@ -122,11 +138,41 @@ func walMode(dir, from, to, at, vp, prefix string, rib, stats, rebuild, count bo
 		}
 	}
 	q.Prefix, q.VP = pfx, vp
+	if mrtOut != "" {
+		n, err := exportMRT(svc, q, mrtOut)
+		if err != nil {
+			log.Fatalf("gill-query: export: %v", err)
+		}
+		fmt.Printf("%d records exported to %s\n", n, mrtOut)
+		return
+	}
 	us, err := svc.Query(q)
 	if err != nil {
 		log.Fatalf("gill-query: %v", err)
 	}
 	printUpdates(us, count)
+}
+
+// exportMRT writes the journal records q selects to the file path,
+// gzip-compressed when its name ends in .gz, and returns how many it
+// wrote.
+func exportMRT(svc *index.Service, q index.Query, path string) (int, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	bw := bufio.NewWriterSize(f, 1<<16)
+	var w io.Writer = bw
+	closers := []func() error{bw.Flush, f.Close} // outermost writer first
+	if strings.HasSuffix(path, ".gz") {
+		gz := gzip.NewWriter(bw)
+		w, closers = gz, append([]func() error{gz.Close}, closers...)
+	}
+	n, err := svc.Export(q, w)
+	for _, c := range closers {
+		err = errors.Join(err, c())
+	}
+	return n, err
 }
 
 // gapsWALMode replays a journal directory through the gap auditor and

@@ -2,29 +2,29 @@
 // orchestrator approves a peering request, a daemon accepts the BGP
 // session and runs its sharded ingest pipeline (filter → live feed →
 // archive), a synthetic router sends a calibrated update stream, a live
-// subscriber consumes the feed, and the resulting MRT archive is read
-// back and measured for redundancy.
+// subscriber consumes the feed, and the resulting journal of MRT records
+// is read back through the query service and measured for redundancy.
 //
 //	go run ./examples/livecollector
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/netip"
 	"net/url"
+	"os"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/bgp"
 	"repro/internal/daemon"
 	"repro/internal/filter"
+	"repro/internal/index"
 	"repro/internal/metrics"
-	"repro/internal/mrt"
 	"repro/internal/orchestrator"
 	"repro/internal/stream"
 	"repro/internal/update"
@@ -94,16 +94,25 @@ func main() {
 	}()
 
 	// 4. The daemon: its ingest path is the sharded pipeline
-	// filter → live → archive, with per-stage accounting.
-	var archive bytes.Buffer
+	// filter → live → archive, with per-stage accounting, and the archive
+	// stage appends to a journal, as gill-daemon -wal does.
+	walDir, err := os.MkdirTemp("", "livecollector-wal-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(walDir)
+	wal, err := archive.OpenJournal(walDir, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	metricsReg := metrics.NewRegistry()
 	d := daemon.New(daemon.Config{
-		LocalAS:  65000,
-		RouterID: netip.MustParseAddr("192.0.2.1"),
-		Filters:  orch.Filters(),
-		Out:      &archive,
-		Publish:  feed.Publish,
-		Registry: metricsReg,
+		LocalAS:    65000,
+		RouterID:   netip.MustParseAddr("192.0.2.1"),
+		Filters:    orch.Filters(),
+		RecordSink: wal.AppendBatch,
+		Publish:    feed.Publish,
+		Registry:   metricsReg,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -139,7 +148,8 @@ func main() {
 		time.Sleep(10 * time.Millisecond)
 	}
 	sess.Close()
-	if err := d.Close(); err != nil {
+	d.Close()
+	if err := wal.Close(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -157,31 +167,26 @@ func main() {
 	feed.Close()
 	fmt.Printf("live feed: %d updates streamed to the subscriber\n", <-streamed)
 
-	// 6. Read the MRT archive back and measure how much of what was
-	// archived is redundant under §4.2 Definition 1.
-	var replayed []*update.Update
-	r := mrt.NewReader(bytes.NewReader(archive.Bytes()))
-	records, droppedNoisy := 0, 0
-	for {
-		rec, err := r.ReadRecord()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			log.Fatalf("corrupt archive: %v", err)
-		}
-		records++
-		for _, u := range rec.CanonicalUpdates() {
-			for _, p := range noisy {
-				if u.Prefix == p && !u.Withdraw {
-					droppedNoisy++
-				}
+	// 6. Read the journal back through the query service and measure how
+	// much of what was archived is redundant under §4.2 Definition 1.
+	svc, err := index.NewService(walDir, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	replayed, err := svc.Query(index.Query{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	droppedNoisy := 0
+	for _, u := range replayed {
+		for _, p := range noisy {
+			if u.Prefix == p && !u.Withdraw {
+				droppedNoisy++
 			}
-			replayed = append(replayed, u)
 		}
 	}
-	fmt.Printf("archive: %d MRT records; filtered prefixes appearing: %d (want 0)\n",
-		records, droppedNoisy)
+	fmt.Printf("archive: %d journaled updates; filtered prefixes appearing: %d (want 0)\n",
+		len(replayed), droppedNoisy)
 
 	redundant := 0
 	for _, r := range update.MarkRedundant(update.Def1, replayed) {

@@ -3,13 +3,11 @@ package gill_test
 // Whole-platform integration: the §8/§9 workflow end to end over real TCP.
 // An orchestrator vets peering requests; GILL trains on a simulated
 // mirrored stream and distributes filters; a daemon accepts BGP sessions,
-// applies the filters, archives MRT, and publishes retained updates on the
+// applies the filters, journals MRT, and publishes retained updates on the
 // RIS-Live-style /stream feed consumed by a client.
 
 import (
-	"bytes"
 	"context"
-	"io"
 	"math/rand"
 	"net"
 	"net/http/httptest"
@@ -18,10 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/archive"
 	"repro/internal/bgp"
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/mrt"
+	"repro/internal/index"
 	"repro/internal/orchestrator"
 	"repro/internal/simulate"
 	"repro/internal/stream"
@@ -97,14 +96,18 @@ func TestPlatformIntegration(t *testing.T) {
 	feedSrv := httptest.NewServer(feed.StreamHandler())
 	defer feedSrv.Close()
 
-	// --- 4. Daemon with filters and the live tee.
-	var archive bytes.Buffer
+	// --- 4. Daemon with filters, the journal and the live tee.
+	walDir := t.TempDir()
+	wal, err := archive.OpenJournal(walDir, 0)
+	if err != nil {
+		t.Fatalf("OpenJournal: %v", err)
+	}
 	d := daemon.New(daemon.Config{
-		LocalAS:  65000,
-		RouterID: netip.MustParseAddr("192.0.2.1"),
-		Filters:  orch.Filters(),
-		Out:      &archive,
-		Publish:  feed.Publish,
+		LocalAS:    65000,
+		RouterID:   netip.MustParseAddr("192.0.2.1"),
+		Filters:    orch.Filters(),
+		RecordSink: wal.AppendBatch,
+		Publish:    feed.Publish,
 	})
 	dLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -172,17 +175,16 @@ func TestPlatformIntegration(t *testing.T) {
 		t.Errorf("stats: %+v", st)
 	}
 	d.Close()
-	r := mrt.NewReader(bytes.NewReader(archive.Bytes()))
-	var archived []*update.Update
-	for {
-		rec, err := r.ReadRecord()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatalf("archive: %v", err)
-		}
-		archived = append(archived, rec.CanonicalUpdates()...)
+	if err := wal.Close(); err != nil {
+		t.Fatalf("journal close: %v", err)
+	}
+	svc, err := index.NewService(walDir, nil)
+	if err != nil {
+		t.Fatalf("index: %v", err)
+	}
+	archived, err := svc.Query(index.Query{})
+	if err != nil {
+		t.Fatalf("query: %v", err)
 	}
 	if len(archived) != 2 {
 		t.Fatalf("archived %d updates, want 2", len(archived))

@@ -171,7 +171,8 @@ func TestJournalSyncAndCloseAreBarriers(t *testing.T) {
 // TestJournalConcurrentAppendAndSync drives the journal the way the
 // daemon does — several appenders, rotations every few records — with
 // Sync barriers racing them, and checks nothing is lost or reordered
-// within an appender. Run with -race.
+// within an appender and that OnSeal reports segments in seal order. Run
+// with -race.
 func TestJournalConcurrentAppendAndSync(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir, 8)
@@ -211,6 +212,12 @@ func TestJournalConcurrentAppendAndSync(t *testing.T) {
 	segs, _ := ListSegments(dir)
 	if len(sealed) != len(segs) || len(segs) != appenders*each/8 {
 		t.Fatalf("%d segments on disk, %d seal callbacks, want %d", len(segs), len(sealed), appenders*each/8)
+	}
+	for i := range sealed {
+		if sealed[i] != segs[i] {
+			t.Errorf("OnSeal #%d reported %s, want %s (seal order)", i, sealed[i], segs[i])
+			break
+		}
 	}
 	next := make([]int, appenders)
 	stats, err := RecoverJournal(dir, nil, func(rec *mrt.Record) error {

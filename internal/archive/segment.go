@@ -482,11 +482,12 @@ type Journal struct {
 	rotate uint32
 
 	// OnSeal, when set before the first Append, is invoked with the path
-	// of every segment the journal seals, synchronously on the goroutine
-	// of the rotating Append (and of Close), once the trailer is written
-	// and the file is complete for readers; on rotation its fsync may still
-	// be pending. The callback runs outside the journal lock (appends from
-	// other goroutines proceed) but must not call back into the Journal.
+	// of every segment the journal seals, in seal order, synchronously on
+	// the goroutine of the rotating Append (and of Close), once the trailer
+	// is written and the file is complete for readers; on rotation its
+	// fsync may still be pending. The callback runs outside the journal
+	// lock (appends from other goroutines proceed until one of them seals)
+	// but must not call back into the Journal.
 	OnSeal func(path string)
 
 	// Registry, when set before the first Append, receives the histograms
@@ -499,6 +500,7 @@ type Journal struct {
 	Registry *metrics.Registry
 
 	mu        sync.Mutex
+	sealOrder sync.Mutex // held across OnSeal, taken before mu is released
 	seg       *SegmentWriter
 	segPath   string
 	seq       int
@@ -653,11 +655,15 @@ func (j *Journal) appendBatchLocked(recs [][]byte) (int, error) {
 		}
 	}
 	appendNS, batchRecs, sealNS := j.appendNS, j.batchRecs, j.sealNS
-	j.mu.Unlock()
-	if j.OnSeal != nil {
+	if len(sealed) > 0 && j.OnSeal != nil {
+		j.sealOrder.Lock() // before mu is released: callbacks run in seal order
+		j.mu.Unlock()
 		for _, path := range sealed {
 			j.OnSeal(path)
 		}
+		j.sealOrder.Unlock()
+	} else {
+		j.mu.Unlock()
 	}
 	if appendNS != nil {
 		took := uint64(time.Since(start))
@@ -760,7 +766,9 @@ func (j *Journal) Close() error {
 		err = werr
 	}
 	if sealed != "" && j.OnSeal != nil {
+		j.sealOrder.Lock() // after any sealer that let go of j.mu before us
 		j.OnSeal(sealed)
+		j.sealOrder.Unlock()
 	}
 	return err
 }

@@ -43,10 +43,10 @@ func (m CapacityModel) LossFraction(peers, ratePerHour int) float64 {
 }
 
 // Calibrate measures the daemon's per-update processing and archiving
-// costs by pushing n synthetic updates through the filter and MRT write
-// paths (without the network). It returns a model with the measured costs
-// and the filter's observed drop fraction.
-func Calibrate(filters *filter.Set, out io.Writer, n int) CapacityModel {
+// costs by pushing n synthetic updates through the filter and MRT encode
+// paths (without the network or a disk). It returns a model with the
+// measured costs and the filter's observed drop fraction.
+func Calibrate(filters *filter.Set, n int) CapacityModel {
 	if n <= 0 {
 		n = 20000
 	}
@@ -91,8 +91,8 @@ func Calibrate(filters *filter.Set, out io.Writer, n int) CapacityModel {
 	}
 	perUpdate := time.Since(start) / time.Duration(n)
 
-	// Phase 2: MRT write cost.
-	w := mrt.NewWriter(out)
+	// Phase 2: MRT encode cost.
+	w := mrt.NewWriter(io.Discard)
 	start = time.Now()
 	for _, tu := range stream {
 		rec := &mrt.Record{

@@ -48,20 +48,11 @@ type Config struct {
 	RouterID netip.Addr
 	// Filters is the GILL filter set; nil collects everything.
 	Filters *filter.Set
-	// Out receives the MRT update archive; nil discards.
-	Out io.Writer
-	// RecordSink, when set, receives the archived MRT records, encoded, one
-	// call per pipeline batch (e.g. an archive.Journal's AppendBatch), and
-	// returns how many it stored; it runs in addition to Out. See
-	// pipeline.ArchiveStage.Sink.
+	// RecordSink receives the archived MRT records, encoded, one call per
+	// pipeline batch (e.g. an archive.Journal's AppendBatch), and returns
+	// how many it stored; the shard workers call it concurrently. Nil
+	// discards. See pipeline.ArchiveStage.Sink.
 	RecordSink func(recs [][]byte) (int, error)
-	// QueueSize bounds the total ingest queue between the BGP readers
-	// and the pipeline workers; overflowing updates are lost (default
-	// 4096, split across the pipeline's shards).
-	QueueSize int
-	// WriteDelay emulates storage latency per archived record, letting
-	// load tests reproduce the disk-bound regime of Table 1.
-	WriteDelay time.Duration
 	// Publish, when set, receives every retained update (the live-feed
 	// tee, §9).
 	Publish func(*update.Update)
@@ -172,12 +163,10 @@ func New(cfg Config) *Daemon {
 		log: cfg.Log.With("daemon"),
 	}
 	d.arch = &pipeline.ArchiveStage{
-		LocalAS:    cfg.LocalAS,
-		LocalIP:    cfg.RouterID,
-		Out:        cfg.Out,
-		Sink:       cfg.RecordSink,
-		Peer:       d.peerIdentity,
-		WriteDelay: cfg.WriteDelay,
+		LocalAS: cfg.LocalAS,
+		LocalIP: cfg.RouterID,
+		Sink:    cfg.RecordSink,
+		Peer:    d.peerIdentity,
 	}
 	d.filt = &pipeline.FilterStage{Set: cfg.Filters}
 	if cfg.Quality != nil && cfg.Quality.Selector().Enabled() {
@@ -206,12 +195,11 @@ func New(cfg Config) *Daemon {
 	d.degradeEvents = reg.Counter("daemon.degrade_events")
 	d.accRetry = reg.Counter("daemon.accept_retries")
 	d.pipe = pipeline.New(pipeline.Config{
-		Shards:    pipelineShards,
-		QueueSize: cfg.QueueSize,
-		Overflow:  pipeline.DropNewest, // never stall the BGP session
-		Registry:  reg,
-		Name:      "daemon.pipeline",
-		Tracer:    cfg.Tracer,
+		Shards:   pipelineShards,
+		Overflow: pipeline.DropNewest, // never stall the BGP session
+		Registry: reg,
+		Name:     "daemon.pipeline",
+		Tracer:   cfg.Tracer,
 	}, stages...)
 	_ = d.pipe.Start(context.Background())
 	return d
@@ -344,11 +332,14 @@ func addrOr(a netip.Addr) netip.Addr {
 	return netip.AddrFrom4([4]byte{192, 0, 2, 1})
 }
 
-// Close drains and flushes the ingest pipeline. It is idempotent and safe
-// to call while sessions are still tearing down: updates arriving after
-// Close are counted as lost rather than abandoned in flight.
+// Close drains the ingest pipeline: every record it archives has reached
+// RecordSink when Close returns. It is idempotent and safe to call while
+// sessions are still tearing down: updates arriving after Close are
+// counted as lost rather than abandoned in flight. The error is always
+// nil.
 func (d *Daemon) Close() error {
-	return d.pipe.Close()
+	d.pipe.Close()
+	return nil
 }
 
 // ServeConn runs the passive side of one BGP peering session until the

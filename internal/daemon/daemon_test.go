@@ -62,9 +62,32 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not reached")
 }
 
+// archiveBuffer is a RecordSink that keeps every record it is handed, in
+// arrival order, as one MRT byte stream.
+type archiveBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (a *archiveBuffer) sink(recs [][]byte) (int, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, r := range recs {
+		a.buf.Write(r)
+	}
+	return len(recs), nil
+}
+
+// reader reads back what the sink has stored so far.
+func (a *archiveBuffer) reader() *mrt.Reader {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return mrt.NewReader(bytes.NewReader(bytes.Clone(a.buf.Bytes())))
+}
+
 func TestDaemonCollectsOverTCP(t *testing.T) {
-	var out bytes.Buffer
-	d := New(Config{LocalAS: 65000, Out: &out})
+	var out archiveBuffer
+	d := New(Config{LocalAS: 65000, RecordSink: out.sink})
 	defer d.Close()
 	peer := dialPeer(t, d, 65001)
 
@@ -85,7 +108,7 @@ func TestDaemonCollectsOverTCP(t *testing.T) {
 	}
 
 	// The MRT archive must parse back.
-	r := mrt.NewReader(bytes.NewReader(out.Bytes()))
+	r := out.reader()
 	n := 0
 	for {
 		rec, err := r.ReadRecord()
@@ -137,34 +160,47 @@ func TestDaemonAppliesFilters(t *testing.T) {
 }
 
 func TestDaemonLossUnderOverload(t *testing.T) {
-	// A deliberately slow writer with a tiny queue must lose updates
-	// rather than stall the BGP session (the Table 1 mechanism).
+	// A stalled archive must lose updates rather than stall the BGP
+	// session (the Table 1 mechanism). The sink blocks until the gate
+	// opens, so each shard holds at most its 1024 queue slots plus the one
+	// 64-update batch stuck in the sink: of more updates than that, some
+	// are lost before the gate opens.
+	gate := make(chan struct{})
 	d := New(Config{
-		LocalAS:    65000,
-		Out:        io.Discard,
-		QueueSize:  4,
-		WriteDelay: 3 * time.Millisecond,
+		LocalAS: 65000,
+		RecordSink: func(recs [][]byte) (int, error) {
+			<-gate
+			return len(recs), nil
+		},
 	})
 	defer d.Close()
 	peer := dialPeer(t, d, 65001)
-	stream := workload.Stream(workload.StreamConfig{PeerAS: 65001, Seed: 3, Prefixes: 100}, 500)
+	const held = pipelineShards * (4096/pipelineShards + 64)
+	const n = held + 500
+	stream := workload.Stream(workload.StreamConfig{PeerAS: 65001, Seed: 3, Prefixes: 100}, n)
 	for _, tu := range stream {
 		if err := peer.Send(tu.Update); err != nil {
 			t.Fatalf("Send: %v", err)
 		}
 	}
-	waitFor(t, func() bool { return d.Stats().Received >= 500 })
-	if d.Stats().Lost == 0 {
-		t.Error("no loss under overload")
+	// Received counts an update just before offering it to the pipeline.
+	waitFor(t, func() bool { return d.Stats().Received >= n })
+	if st := d.Stats(); st.Lost < n-1-held {
+		t.Errorf("lost %d of %d updates with the archive stalled, want at least %d", st.Lost, n, n-1-held)
 	}
 	if d.Stats().LossFraction() <= 0 {
 		t.Error("loss fraction not reported")
 	}
+	close(gate)
+	waitFor(t, func() bool {
+		st := d.Stats()
+		return st.Written+st.Lost == n
+	})
 }
 
 func TestDumpRIB(t *testing.T) {
-	var out bytes.Buffer
-	d := New(Config{LocalAS: 65000, Out: &out})
+	var out archiveBuffer
+	d := New(Config{LocalAS: 65000, RecordSink: out.sink})
 	defer d.Close()
 	peer := dialPeer(t, d, 65001)
 	// Announce three prefixes, then withdraw one.
@@ -190,7 +226,7 @@ func TestDumpRIB(t *testing.T) {
 	waitFor(t, func() bool { return d.Stats().Written >= 4 })
 
 	// The peer table names the session as the archive's BGP4MP records do.
-	arch, err := mrt.NewReader(bytes.NewReader(out.Bytes())).ReadRecord()
+	arch, err := out.reader().ReadRecord()
 	if err != nil {
 		t.Fatalf("archive: %v", err)
 	}
@@ -393,7 +429,7 @@ func TestCapacityModel(t *testing.T) {
 }
 
 func TestCalibrate(t *testing.T) {
-	m := Calibrate(nil, io.Discard, 2000)
+	m := Calibrate(nil, 2000)
 	if m.PerUpdateCost <= 0 || m.PerWriteCost <= 0 {
 		t.Errorf("calibration produced non-positive costs: %+v", m)
 	}
@@ -405,7 +441,7 @@ func TestCalibrate(t *testing.T) {
 		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{32, byte(i >> 8), byte(i), 0}), 24)
 		fs.AddDropVPPrefix("vp65001", p)
 	}
-	mf := Calibrate(fs, io.Discard, 2000)
+	mf := Calibrate(fs, 2000)
 	if mf.DropFraction <= 0.5 {
 		t.Errorf("drop fraction %v, want most updates dropped", mf.DropFraction)
 	}

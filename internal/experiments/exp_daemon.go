@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/netip"
 	"time"
@@ -107,7 +106,7 @@ func RunTable1(cfg Table1Config) Table1Result {
 	// Calibrate CPU costs on this machine; storage is modeled (see
 	// DiskWriteCost) since page-cache writes understate a collector's
 	// synchronous archive cost.
-	model := daemon.Calibrate(nil, io.Discard, cfg.CalibrationN)
+	model := daemon.Calibrate(nil, cfg.CalibrationN)
 	if model.PerWriteCost < cfg.DiskWriteCost {
 		model.PerWriteCost = cfg.DiskWriteCost
 	}
@@ -149,7 +148,9 @@ func liveRun(peers, updatesPerPeer int, fs *filter.Set) float64 {
 		LocalAS:  65000,
 		RouterID: netip.AddrFrom4([4]byte{192, 0, 2, 1}),
 		Filters:  fs,
-		Out:      io.Discard,
+		// Encode every retained update, as the daemon's journal path
+		// does, and discard the records.
+		RecordSink: func(recs [][]byte) (int, error) { return len(recs), nil },
 	})
 	defer d.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

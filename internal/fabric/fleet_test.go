@@ -63,7 +63,6 @@ func startCollector(t *testing.T, id, coordAddr string) *collector {
 	c := &collector{id: id, qp: qp, done: make(chan struct{})}
 	c.d = daemon.New(daemon.Config{
 		LocalAS:  65000,
-		Out:      &bytes.Buffer{},
 		Registry: reg,
 		Quality:  qp,
 	})

@@ -1,11 +1,14 @@
 package index
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http/httptest"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -192,6 +195,66 @@ func TestQueryMatchesDirectScan(t *testing.T) {
 		wj, _ := json.Marshal(want)
 		if len(got) != len(want) || (len(want) > 0 && string(gj) != string(wj)) {
 			t.Fatalf("Query(%+v): got %d updates, want %d\n%s\n%s", q, len(got), len(want), gj, wj)
+		}
+	}
+}
+
+// TestExportEqualsQuery: an export, decoded and stably sorted by time, is
+// exactly what Query returns for the same selectors, and it carries the
+// journal's payloads unchanged, in write order.
+func TestExportEqualsQuery(t *testing.T) {
+	dir := t.TempDir()
+	recs := fillJournal(t, dir, nil) // v4 and v6, withdrawals, 8 segments
+	svc, err := NewService(dir, nil)
+	if err != nil {
+		t.Fatalf("NewService: %v", err)
+	}
+	var all bytes.Buffer
+	for _, r := range recs {
+		wire, err := mrt.AppendRecord(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all.Write(wire)
+	}
+	queries := []Query{
+		{},
+		{From: t0.Add(10 * time.Minute), To: t0.Add(30 * time.Minute)},
+		{VP: "vp65002"},
+		{Prefix: netip.MustParsePrefix("2001:db8::/32")},
+		{From: t0.Add(5 * time.Minute), To: t0.Add(50 * time.Minute),
+			Prefix: netip.MustParsePrefix("203.0.113.0/24"), VP: "vp65001"},
+	}
+	for _, q := range queries {
+		var buf bytes.Buffer
+		n, err := svc.Export(q, &buf)
+		if err != nil {
+			t.Fatalf("Export(%+v): %v", q, err)
+		}
+		if q == (Query{}) && !bytes.Equal(buf.Bytes(), all.Bytes()) {
+			t.Fatalf("unfiltered export is not the journal's records in write order")
+		}
+		var got []*update.Update
+		r := mrt.NewReader(&buf)
+		for {
+			rec, err := r.ReadRecord()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("Export(%+v): record %d: %v", q, len(got), err)
+			}
+			got = append(got, rec.CanonicalUpdates()...)
+		}
+		sort.SliceStable(got, func(i, j int) bool { return got[i].Time.Before(got[j].Time) })
+		want, err := svc.Query(q)
+		if err != nil {
+			t.Fatalf("Query(%+v): %v", q, err)
+		}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if n != len(want) || len(got) != len(want) || len(want) == 0 || string(gj) != string(wj) {
+			t.Fatalf("Export(%+v): %d records, %d updates; Query: %d updates\n%s\n%s", q, n, len(got), len(want), gj, wj)
 		}
 	}
 }

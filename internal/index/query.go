@@ -1,13 +1,15 @@
 package index
 
-// The query service: range queries and RIB reconstruction over the
-// journal, using the skip-index to bound how many segments are scanned.
+// The query service: range queries, MRT export and RIB reconstruction
+// over the journal, using the skip-index to bound how many segments are
+// scanned.
 // Reconstruction replays updates in write order (segment order, then
 // frame order) — the same order a full raw replay sees — so the state it
 // produces is byte-equivalent to replaying every segment; the index only
 // removes segments that provably contribute nothing to the answer.
 
 import (
+	"io"
 	"net/netip"
 	"path/filepath"
 	"sort"
@@ -101,6 +103,42 @@ func (s *Service) Query(q Query) ([]*update.Update, error) {
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Time.Before(out[j].Time) })
 	s.account("query", len(scan), skipped, start)
 	return out, nil
+}
+
+// Export writes the journal records selected by q to w as an MRT stream:
+// each matching record's payload unchanged, in write order. A record
+// matches when any of its prefixes does (the daemon writes one prefix per
+// record, so decoding the export yields what Query returns, stably sorted
+// by time). It returns how many records it wrote.
+func (s *Service) Export(q Query, w io.Writer) (records int, err error) {
+	scan, _, err := s.scanPlan(q)
+	if err != nil {
+		return 0, err
+	}
+	var view mrt.UpdateView
+	for _, path := range scan {
+		_, _, err := archive.ScanSegment(path, func(payload []byte) error {
+			if view.Decode(payload) != nil {
+				return nil
+			}
+			vp, hit := view.VP(), false
+			view.Each(func(p netip.Prefix, _ bool) {
+				hit = hit || q.matches(view.Time, p, vp)
+			})
+			if !hit {
+				return nil
+			}
+			if _, err := w.Write(payload); err != nil {
+				return err
+			}
+			records++
+			return nil
+		})
+		if err != nil {
+			return records, err
+		}
+	}
+	return records, nil
 }
 
 // RIBAt reconstructs the routing state at time at: for every (VP, prefix)

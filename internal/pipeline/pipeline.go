@@ -39,12 +39,6 @@ type Starter interface {
 	Start(ctx context.Context) error
 }
 
-// Flusher is implemented by stages holding buffered state to flush on
-// Close (e.g. batched archive writers over compressed streams).
-type Flusher interface {
-	Flush() error
-}
-
 // Policy selects what Ingest does when a shard queue is full.
 type Policy int
 
@@ -130,7 +124,6 @@ type Pipeline struct {
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
-	closeErr  error
 }
 
 // New builds a pipeline over the given stage chain. Call Start to launch
@@ -195,7 +188,7 @@ func New(cfg Config, stages ...Stage) *Pipeline {
 func (p *Pipeline) Registry() *metrics.Registry { return p.reg }
 
 // Start launches the shard workers and any Starter stages. Canceling ctx
-// closes the pipeline (drain + flush) in the background.
+// closes the pipeline (drains it) in the background.
 func (p *Pipeline) Start(ctx context.Context) error {
 	p.mu.Lock()
 	if p.started || p.closed {
@@ -218,7 +211,7 @@ func (p *Pipeline) Start(ctx context.Context) error {
 	if ctx.Done() != nil {
 		go func() {
 			<-ctx.Done()
-			_ = p.Close()
+			p.Close()
 		}()
 	}
 	return nil
@@ -363,10 +356,10 @@ func (p *Pipeline) Ingest(u *update.Update) bool {
 	}
 }
 
-// Close drains the queues, waits for the workers, and flushes Flusher
-// stages. It is idempotent and safe to call concurrently with Ingest:
-// updates offered after Close are counted as dropped.
-func (p *Pipeline) Close() error {
+// Close drains the queues and waits for the workers. It is idempotent and
+// safe to call concurrently with Ingest: updates offered after Close are
+// counted as dropped.
+func (p *Pipeline) Close() {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()
 		p.closed = true
@@ -387,15 +380,7 @@ func (p *Pipeline) Close() error {
 				}
 			}
 		}
-		for _, st := range p.stages {
-			if f, ok := st.(Flusher); ok {
-				if err := f.Flush(); err != nil && p.closeErr == nil {
-					p.closeErr = err
-				}
-			}
-		}
 	})
-	return p.closeErr
 }
 
 // StageSnapshot is one stage's accounting: In updates entered, Out were

@@ -114,9 +114,7 @@ func TestOverflowBlockBackpressures(t *testing.T) {
 	gate.release <- struct{}{}
 	<-gate.entered
 	<-gate.entered
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	p.Close()
 
 	snap := p.Snapshot()
 	if snap.Dropped != 0 {
@@ -153,9 +151,7 @@ func TestOverflowDropNewest(t *testing.T) {
 	}
 	<-gate.entered
 	<-gate.entered
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	p.Close()
 
 	snap := p.Snapshot()
 	if snap.Dropped != 2 {
@@ -177,9 +173,7 @@ func TestOverflowDropNewest(t *testing.T) {
 func TestIngestAfterCloseIsCountedDropped(t *testing.T) {
 	p := New(Config{Shards: 2, QueueSize: 8}, &collectStage{})
 	_ = p.Start(context.Background())
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	p.Close()
 	if p.Ingest(mkUpdate(1)) {
 		t.Error("Ingest admitted an update after Close")
 	}
@@ -253,9 +247,7 @@ func TestAccountingProperty(t *testing.T) {
 		for i := 0; i < count; i++ {
 			p.Ingest(mkUpdate(i))
 		}
-		if err := p.Close(); err != nil {
-			return false
-		}
+		p.Close()
 		snap := p.Snapshot()
 		ok := snap.Ingested == uint64(count) &&
 			snap.Queued == 0 &&
@@ -314,9 +306,7 @@ func TestBatchingUnderLoad(t *testing.T) {
 	gate.release <- struct{}{} // the next batch should drain all 16
 	<-gate.entered
 	gate.release <- struct{}{}
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	p.Close()
 	snap := p.Snapshot()
 	if snap.BatchSizes.Count != 2 {
 		t.Fatalf("saw %d batches, want 2 (1 + 16)", snap.BatchSizes.Count)
@@ -338,9 +328,7 @@ func TestPerShardOrderPreserved(t *testing.T) {
 		u.Time = time.Unix(int64(i), 0)
 		p.Ingest(&u)
 	}
-	if err := p.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+	p.Close()
 	coll.mu.Lock()
 	defer coll.mu.Unlock()
 	if len(coll.got) != n {
@@ -367,7 +355,7 @@ func TestMetricsRegistryExposure(t *testing.T) {
 	p := New(Config{Shards: 1, QueueSize: 4, Name: "t"}, &collectStage{})
 	_ = p.Start(context.Background())
 	p.Ingest(mkUpdate(1))
-	_ = p.Close()
+	p.Close()
 	snap := p.Registry().Snapshot()
 	for _, name := range []string{"t.in", "t.taken", "t.out", "t.dropped", "t.stage.collect.in", "t.stage.collect.out"} {
 		if _, ok := snap.Counters[name]; !ok {

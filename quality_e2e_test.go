@@ -8,7 +8,6 @@ package gill_test
 // TestOverheadGuard.
 
 import (
-	"bytes"
 	"context"
 	"io"
 	"net"
@@ -89,13 +88,12 @@ func TestQualityLedgerBalancesE2E(t *testing.T) {
 		Selector: quality.Selector{Seed: 1, Denom: 4},
 		Registry: reg,
 	})
-	var out bytes.Buffer
 	d := daemon.New(daemon.Config{
-		LocalAS:  65000,
-		Filters:  qualityFilters(),
-		Out:      &out,
-		Registry: reg,
-		Quality:  qp,
+		LocalAS:    65000,
+		Filters:    qualityFilters(),
+		RecordSink: discardSink,
+		Registry:   reg,
+		Quality:    qp,
 	})
 	peer := dialQualityPeer(t, d, 65001)
 
@@ -146,8 +144,8 @@ func TestQualityLedgerBalancesE2E(t *testing.T) {
 }
 
 // TestQualityLedgerBalancesUnderChaos: with write faults injected into
-// the archive destination, updates land in Lost instead of Archived — and
-// the ledger still balances exactly. Loss is accounted, never silent.
+// the archive sink, updates land in Lost instead of Archived — and the
+// ledger still balances exactly. Loss is accounted, never silent.
 func TestQualityLedgerBalancesUnderChaos(t *testing.T) {
 	reg := metrics.NewRegistry()
 	qp := quality.NewPlane(quality.Config{
@@ -155,10 +153,20 @@ func TestQualityLedgerBalancesUnderChaos(t *testing.T) {
 		Registry: reg,
 	})
 	inj := faults.New(faults.Config{Seed: 7, ErrProb: 0.2, PartialProb: 0.1})
+	w := inj.Writer(io.Discard)
 	d := daemon.New(daemon.Config{
-		LocalAS:  65000,
-		Filters:  qualityFilters(),
-		Out:      inj.Writer(io.Discard),
+		LocalAS: 65000,
+		Filters: qualityFilters(),
+		// A record is stored when its write completes; a batch stops at
+		// the first record that does not.
+		RecordSink: func(recs [][]byte) (int, error) {
+			for i, r := range recs {
+				if _, err := w.Write(r); err != nil {
+					return i, err
+				}
+			}
+			return len(recs), nil
+		},
 		Registry: reg,
 		Quality:  qp,
 	})

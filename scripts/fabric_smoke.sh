@@ -134,6 +134,17 @@ echo "$f" | grep -q '"unassigned"' && fail "VPs left unassigned with two live co
 [ "$(echo "$f" | grep -o '"installed_filter_gen":1' | wc -l)" -eq 2 ] ||
 	fail "filter generation 1 not installed fleet-wide"
 
+# Each collector advertises the BGP address its listener bound (the
+# -listen flag says port 0), the one its log reports.
+for c in c1 c2; do
+	row=$(echo "$f" | tr '{' '\n' | grep "\"id\":\"$c\"")
+	bgp=$(grab "d${c#c}.log" " addr")
+	echo "$row" | grep -q '"addr":"[0-9.]*:[1-9][0-9]*"' ||
+		fail "$c advertises no resolved BGP address: $row"
+	echo "$row" | grep -q "\"addr\":\"$bgp\"" ||
+		fail "$c advertises a BGP address other than its listener's $bgp: $row"
+done
+
 # Byte-identity witness: the fleet digest and both collectors' digests
 # must agree (the sum is FNV-64a over the exact marshaled filter bytes).
 fleetsum=$(echo "$f" | sed -n 's/.*"filter_sum":"\([0-9a-f]*\)".*/\1/p' | head -n1)

@@ -6,7 +6,8 @@
 # decoy); then assert the subscriber received only its prefix, the /api
 # query endpoints reconstruct state, the serving metrics are exported,
 # and — after killing the daemon — the offline index rebuild answers the
-# same RIB query from the raw segments.
+# same RIB query from the raw segments and the journal exports as a
+# gzip-compressed MRT file.
 #
 # Run via `make serve-smoke`.
 set -eu
@@ -166,5 +167,13 @@ grep -q 'records 48' "$dir/offline-stats.txt" ||
 	fail "offline RIB reconstruction diverged"
 [ "$("$dir/gill-query" -wal "$dir/wal" -vp vp65001 -count)" = "24" ] ||
 	fail "offline range query by VP diverged"
+
+# MRT files are exports of the journal: all 48 records, one gzip stream.
+"$dir/gill-query" -wal "$dir/wal" -mrt "$dir/u.mrt.gz" >"$dir/export.txt" ||
+	fail "gill-query -mrt export failed"
+grep -q '^48 records exported' "$dir/export.txt" ||
+	fail "export wrote the wrong record count: $(cat "$dir/export.txt")"
+[ -s "$dir/u.mrt.gz" ] || fail "MRT export is empty"
+gzip -t "$dir/u.mrt.gz" || fail "MRT export is not a valid gzip stream"
 
 echo "serve-smoke: PASS"

@@ -59,7 +59,6 @@ func TestServingPlaneUnderChaos(t *testing.T) {
 	d := daemon.New(daemon.Config{
 		LocalAS:    65000,
 		Filters:    qualityFilters(),
-		Out:        io.Discard,
 		RecordSink: wal.AppendBatch,
 		Registry:   reg,
 		Quality:    qp,
